@@ -322,9 +322,10 @@ def build_rm(params: CodeParams) -> Code:
     monomials = rm_monomials(params.n, params.d, params.q)
     code = _build(params, monomials, affine_points(params.n, GF(params.q)))
     # evaluation on the reduced monomial basis is injective; check it
-    assert code.dimension == len(monomials), (
-        f"reduced monomial basis not independent: {code.dimension} != {len(monomials)}"
-    )
+    if code.dimension != len(monomials):
+        raise RuntimeError(
+            f"reduced monomial basis not independent: {code.dimension} != {len(monomials)}"
+        )
     return code
 
 

@@ -127,5 +127,8 @@ def w2_rm_candidates(n: int, d: int, q: int) -> W2Candidates:
     cands = W2Candidates(base, tuple(sorted(options)))
     if q == 2 and 1 <= d <= n - 1:
         # binary closed form must be one of the candidates
-        assert w2_rm_binary(n, d) in cands.options
+        if w2_rm_binary(n, d) not in cands.options:
+            raise RuntimeError(
+                f"binary W2 {w2_rm_binary(n, d)} not among candidates {cands.options}"
+            )
     return cands

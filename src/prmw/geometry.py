@@ -106,7 +106,8 @@ def _subspaces(n: int, q: int, s: int, cap: int) -> tuple[Subspace, ...]:
             for (i, c), v in zip(free, values):
                 basis[i, c] = v
             out.append(_subspace_from_basis(basis, n, gf))
-    assert len(out) == count, f"expected {count} subspaces, built {len(out)}"
+    if len(out) != count:
+        raise RuntimeError(f"expected {count} subspaces, built {len(out)}")
     return tuple(out)
 
 

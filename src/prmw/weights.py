@@ -3,6 +3,23 @@
 Produces the exact full weight distribution, the minimum and
 next-to-minimal weights, and witness codewords.
 
+The counting pass enumerates whichever of the code and its dual has
+the strictly smaller dimension.  For a code of length N and dimension
+k with N - k < k, the dual generator is the kernel of the generator
+matrix; its distribution B is counted and the code's distribution is
+recovered exactly by the MacWilliams identity
+
+    A_j = q^-(N-k) * sum_i B_i * K_j(i; N, q)
+
+in Python integers, with K_j the Krawtchouk polynomials
+(MacWilliams-Sloane, The Theory of Error-Correcting Codes, ch. 5).
+Otherwise, the tie N - k = k included, the code itself is counted.
+The report's ``side`` ("primal" or "dual") names the side counted and
+``codewords_scanned`` is what that counting pass visited.  Near
+k = N/2 nothing is gained, e.g. PRM(2,3)/GF(5) (k = 10, N = 31) and
+PRM(3,3)/GF(3) (k = 20, N = 40).  The budget caps the code's own q^k
+whichever side is counted, since the witness pass searches the code.
+
 q = 2: messages are walked in Gray-code order, each step XOR-ing one
 generator row into the running codeword and popcounting.  Above a size
 threshold the message space is partitioned into contiguous ranges and
@@ -17,6 +34,8 @@ q - 1.
 
 Witnesses are canonical: the up-to-K codewords of each extreme weight
 whose message integers are smallest (message value sum_i m_i * q^i).
+They always come from the code itself, searched in ascending message
+order so the search stops once every extreme weight has K.
 """
 
 from __future__ import annotations
@@ -25,10 +44,11 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .codes import Code
+from .codes import Code, nullspace
 from .errors import BudgetExceeded, DomainError
 
 DEFAULT_BUDGET = 1 << 32
@@ -50,6 +70,7 @@ class WeightReport:
     params: object
     length: int
     dimension: int
+    side: str  # "primal" or "dual": the code whose codewords were counted
     codewords_scanned: int
     min_weight: int
     next_weight: int | None
@@ -82,11 +103,18 @@ def weight_report(code: Code, budget: int | None = None, threads: int = 1) -> We
             f"budget is {budget}"
         )
     t0 = time.perf_counter()
-    if q == 2:
-        counts_arr, scanned = _counts_q2(code, threads)
+    length = code.length
+    if length - dim < dim:
+        side, gen = "dual", nullspace(code.gen, code.gf)
     else:
-        counts_arr, scanned = _counts_qp(code, threads)
-    weight_counts = {w: int(c) for w, c in enumerate(counts_arr) if c}
+        side, gen = "primal", code.gen
+    counts, scanned = _counts_q2(gen, threads) if q == 2 else _counts_qp(gen, q)
+    counts = [int(c) for c in counts]
+    if side == "dual":
+        counts = _macwilliams(counts, q, dim)
+    if counts[0] != 1:
+        raise RuntimeError(f"weight distribution has {counts[0]} zero codewords, not 1")
+    weight_counts = {w: c for w, c in enumerate(counts) if c}
     nonzero = sorted(w for w in weight_counts if w > 0)
     if not nonzero:
         raise DomainError("code has no nonzero codeword")
@@ -94,9 +122,9 @@ def weight_report(code: Code, budget: int | None = None, threads: int = 1) -> We
     w2 = nonzero[1] if len(nonzero) > 1 else None
     targets = [w1] if w2 is None else [w1, w2]
     if q == 2:
-        pool = _witnesses_q2(code, targets)
+        pool = _witnesses_q2(code.gen, targets)
     else:
-        pool = _witnesses_qp(code, targets)
+        pool = _witnesses_qp(code.gen, q, targets)
     witnesses = [
         Witness(_unpack_message(m, dim, q), _support_of_message(code, m))
         for w in targets
@@ -105,8 +133,9 @@ def weight_report(code: Code, budget: int | None = None, threads: int = 1) -> We
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return WeightReport(
         params=code.params,
-        length=code.length,
+        length=length,
         dimension=dim,
+        side=side,
         codewords_scanned=scanned,
         min_weight=w1,
         next_weight=w2,
@@ -114,6 +143,41 @@ def weight_report(code: Code, budget: int | None = None, threads: int = 1) -> We
         witnesses=witnesses,
         elapsed_ms=elapsed_ms,
     )
+
+
+def _macwilliams(dual_counts: list[int], q: int, dim: int) -> list[int]:
+    """Weight distribution of a code of dimension ``dim`` from that of its
+    dual, ``dual_counts[i]`` = B_i for i = 0..N:
+    A_j = q^-(N-dim) * sum_i B_i * K_j(i; N, q), exactly."""
+    length = len(dual_counts) - 1
+    acc = [0] * (length + 1)
+    for i, b in enumerate(dual_counts):
+        if b:
+            for j, kj in enumerate(_krawtchouk_column(i, length, q)):
+                acc[j] += b * kj
+    size = q ** (length - dim)
+    counts = []
+    for j, s in enumerate(acc):
+        a, r = divmod(s, size)
+        if r:
+            raise RuntimeError(f"MacWilliams sum for weight {j} is {s}, not a multiple of {size}")
+        if a < 0:
+            raise RuntimeError(f"MacWilliams transform gives {a} codewords of weight {j}")
+        counts.append(a)
+    if sum(counts) != q**dim:
+        raise RuntimeError(f"MacWilliams transform gives {sum(counts)} codewords, not {q}^{dim}")
+    return counts
+
+
+def _krawtchouk_column(i: int, length: int, q: int) -> list[int]:
+    """[K_j(i; N, q) for j = 0..N]: the coefficients of
+    (1 + (q-1) z)^(N-i) * (1 - z)^i."""
+    col = [0] * (length + 1)
+    for a in range(length - i + 1):
+        ca = comb(length - i, a) * (q - 1) ** a
+        for b in range(i + 1):
+            col[a + b] += ca * (-1) ** b * comb(i, b)
+    return col
 
 
 def _unpack_message(m: int, dim: int, q: int) -> tuple[int, ...]:
@@ -132,8 +196,13 @@ def _support_of_message(code: Code, m: int) -> tuple[int, ...]:
 
 
 def _pack_rows(code: Code) -> list[int]:
+    return _pack_gen(code.gen)
+
+
+def _pack_gen(gen: np.ndarray) -> list[int]:
+    """Each generator row as an int, bit j set where column j is 1."""
     rows = []
-    for row in code.gen:
+    for row in gen:
         x = 0
         for j, v in enumerate(row):
             if v:
@@ -187,9 +256,9 @@ def _blocked_counts_range(
     return counts
 
 
-def _counts_q2(code: Code, threads: int) -> tuple[np.ndarray, int]:
-    rows = _pack_rows(code)
-    dim, length = len(rows), code.length
+def _counts_q2(gen: np.ndarray, threads: int) -> tuple[np.ndarray, int]:
+    rows = _pack_gen(gen)
+    dim, length = gen.shape
     total = 1 << dim
     if total <= _GRAY_LIMIT:
         return gray_weight_counts(rows, length), total
@@ -243,13 +312,13 @@ def _gray_witnesses(
     return pool
 
 
-def _witnesses_q2(code: Code, targets: list[int]) -> dict[int, list[int]]:
-    rows = _pack_rows(code)
-    dim = len(rows)
+def _witnesses_q2(gen: np.ndarray, targets: list[int]) -> dict[int, list[int]]:
+    rows = _pack_gen(gen)
+    dim, length = gen.shape
     if (1 << dim) <= _GRAY_LIMIT:
         return _gray_witnesses(rows, targets, WITNESS_CAP)
     bbits = min(dim, _BLOCK_BITS)
-    nwords = (code.length + 63) // 64
+    nwords = (length + 63) // 64
     table = _low_table(rows, bbits, nwords)
     nblocks = 1 << (dim - bbits)
     pool: dict[int, list[int]] = {t: [] for t in targets}
@@ -299,11 +368,10 @@ def _class_reps(dim: int, q: int, lead: int, chunk: int = 1 << 14):
         yield msgs
 
 
-def _counts_qp(code: Code, threads: int) -> tuple[np.ndarray, int]:
-    q, dim, length = code.params.q, code.dimension, code.length
+def _counts_qp(gen: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+    dim, length = gen.shape
     counts = np.zeros(length + 1, dtype=np.int64)
     scanned = 1  # the zero codeword
-    gen = code.gen
     for lead in range(dim):
         for msgs in _class_reps(dim, q, lead):
             cw = (msgs @ gen) % q
@@ -315,25 +383,26 @@ def _counts_qp(code: Code, threads: int) -> tuple[np.ndarray, int]:
     return counts, scanned
 
 
-def _witnesses_qp(code: Code, targets: list[int]) -> dict[int, list[int]]:
-    q, dim = code.params.q, code.dimension
-    gen = code.gen
+def _witnesses_qp(gen: np.ndarray, q: int, targets: list[int]) -> dict[int, list[int]]:
+    dim = gen.shape[0]
     qpow = np.array([q**i for i in range(dim)], dtype=object)
     pool: dict[int, list[int]] = {t: [] for t in targets}
     for lead in range(dim):
+        # one lead's representatives come in ascending message order, so
+        # its first K hits per weight are its K smallest; the lead stops
+        # as soon as every target has them
+        found: dict[int, list[int]] = {t: [] for t in targets}
         for msgs in _class_reps(dim, q, lead):
-            cw = (msgs @ gen) % q
-            w = np.count_nonzero(cw, axis=1)
+            w = np.count_nonzero((msgs @ gen) % q, axis=1)
             for t in targets:
-                for i in np.nonzero(w == t)[0]:
-                    m = int((msgs[i] * qpow).sum())
-                    lst = pool[t]
-                    if len(lst) < WITNESS_CAP:
-                        lst.append(m)
-                        lst.sort()
-                    elif m < lst[-1]:
-                        lst[-1] = m
-                        lst.sort()
+                need = WITNESS_CAP - len(found[t])
+                if need > 0:
+                    hits = np.nonzero(w == t)[0][:need]
+                    found[t].extend(int((msgs[i] * qpow).sum()) for i in hits)
+            if all(len(found[t]) >= WITNESS_CAP for t in targets):
+                break
+        for t in targets:
+            pool[t] = sorted(pool[t] + found[t])[:WITNESS_CAP]
     return pool
 
 
@@ -379,6 +448,7 @@ def report_to_json(report: WeightReport) -> str:
             for wit in report.witnesses
         ],
         "scanned": report.codewords_scanned,
+        "side": report.side,
         "elapsed_ms": report.elapsed_ms,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, exact tolerances, one
 printed pass/fail line each (run with -s to see the lines).
 
-The heavyweight enumerations (PRM(4,4) with 2^30 codewords, RM(5,4)
-with 2^31) are shared through the session-scoped report cache.
+The largest instances (PRM(4,4) with 2^30 codewords, RM(5,4) with
+2^31) are counted through their duals; reports are shared through the
+session-scoped report cache.
 """
 
 import random

@@ -1,0 +1,177 @@
+"""Counting the dual and transforming back (MacWilliams) must give exactly
+what enumerating the code itself gives."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import prmw.weights as W
+from prmw import CodeParams, build, naive_weight_counts, weight_report
+from prmw.codes import Code, nullspace, rref
+from prmw.gfp import GF
+
+NAIVE_LIMIT = 1 << 16
+
+
+def _instances():
+    # every instance whose primal enumeration fits in a test run; binary
+    # PRM(4,5), RM(5,4) and RM(5,5) (2^31+ codewords) are left out
+    out = [("prm", 2, n, d) for n in range(1, 5) for d in range(1, n + 2) if (n, d) != (4, 5)]
+    out += [("rm", 2, n, d) for n in range(1, 6) for d in range(n + 1) if d <= 3 or n < 5]
+    out += [("prm", 3, 2, d) for d in range(1, 6)]
+    out += [("rm", 3, 2, d) for d in range(5)]
+    out += [("rm", 3, 3, d) for d in range(3)]
+    out += [("prm", 5, 1, d) for d in range(1, 6)]
+    out += [("prm", 7, 1, d) for d in range(1, 8)]
+    out += [("prm", 5, 2, 2), ("prm", 7, 2, 2)]
+    return out
+
+
+def _kernel_counts(gen, q):
+    """The counting kernel's distribution of the row space of ``gen``,
+    as a list indexed by weight."""
+    counts, _ = W._counts_q2(gen, 1) if q == 2 else W._counts_qp(gen, q)
+    return [int(c) for c in counts]
+
+
+def _as_dict(counts):
+    return {w: c for w, c in enumerate(counts) if c}
+
+
+def _full_scan_witnesses_qp(gen, q, targets):
+    # the q > 2 witness pass as it was before it stopped early: every
+    # class representative is visited and the K smallest kept
+    dim = gen.shape[0]
+    qpow = np.array([q**i for i in range(dim)], dtype=object)
+    pool = {t: [] for t in targets}
+    for lead in range(dim):
+        for msgs in W._class_reps(dim, q, lead):
+            w = np.count_nonzero((msgs @ gen) % q, axis=1)
+            for t in targets:
+                for i in np.nonzero(w == t)[0]:
+                    m = int((msgs[i] * qpow).sum())
+                    lst = pool[t]
+                    if len(lst) < W.WITNESS_CAP:
+                        lst.append(m)
+                        lst.sort()
+                    elif m < lst[-1]:
+                        lst[-1] = m
+                        lst.sort()
+    return pool
+
+
+def _matrix_code(gen, q):
+    # naive_weight_counts reads only the generator and q
+    return Code(CodeParams("rm", q, 1, 0), gen, (), [], ())
+
+
+@pytest.mark.parametrize("family,q,n,d", _instances())
+def test_report_matches_primal_enumeration(family, q, n, d):
+    code = build(CodeParams(family, q, n, d))
+    rep = weight_report(code)
+    expected_side = "dual" if code.length - code.dimension < code.dimension else "primal"
+    assert rep.side == expected_side
+    assert rep.weight_counts == _as_dict(_kernel_counts(code.gen, q))
+    if q**code.dimension <= NAIVE_LIMIT:
+        assert rep.weight_counts == naive_weight_counts(code)
+    if q > 2:
+        targets = [t for t in (rep.min_weight, rep.next_weight) if t is not None]
+        assert W._witnesses_qp(code.gen, q, targets) == _full_scan_witnesses_qp(
+            code.gen, q, targets
+        )
+
+
+class TestSideChoice:
+    def test_dual_of_dimension_zero(self):
+        # PRM(2,3) over GF(2) is all of GF(2)^7: its dual is {0}
+        code = build(CodeParams("prm", 2, 2, 3))
+        rep = weight_report(code)
+        assert (rep.side, rep.codewords_scanned) == ("dual", 1)
+        assert rep.weight_counts == naive_weight_counts(code)
+
+    @pytest.mark.parametrize("family,q,n,d", [("rm", 2, 5, 2), ("prm", 7, 1, 3)])
+    def test_tie_stays_primal(self, family, q, n, d):
+        code = build(CodeParams(family, q, n, d))
+        assert code.length == 2 * code.dimension
+        assert weight_report(code).side == "primal"
+
+    def test_blocked_kernel_on_primal_generator(self, monkeypatch):
+        # weight_report now counts these through their duals; the blocked
+        # q = 2 kernel must still agree with the Gray walk on the code itself
+        monkeypatch.setattr(W, "_GRAY_LIMIT", 1)
+        monkeypatch.setattr(W, "_BLOCK_BITS", 4)
+        for family, n, d in [("rm", 4, 2), ("prm", 3, 3)]:
+            code = build(CodeParams(family, 2, n, d))
+            blocked, _ = W._counts_q2(code.gen, 2)
+            gray = W.gray_weight_counts(W._pack_rows(code), code.length)
+            assert np.array_equal(blocked, gray)
+
+
+@pytest.fixture(scope="module")
+def prm_3_2():
+    """PRM(3,2) over GF(2), a [15,10] code, and its dual's distribution."""
+    code = build(CodeParams("prm", 2, 3, 2))
+    return code, _kernel_counts(nullspace(code.gen, code.gf), 2)
+
+
+class TestTransformInvariants:
+    def test_true_dual_transforms(self, prm_3_2):
+        code, dual = prm_3_2
+        assert _as_dict(W._macwilliams(dual, 2, code.dimension)) == naive_weight_counts(code)
+
+    @staticmethod
+    def _moved_word(b):
+        # one dual word of the smallest nonzero weight moved up by one
+        w = next(i for i, c in enumerate(b) if c and i > 0)
+        return b[:w] + [b[w] - 1, b[w + 1] + 1] + b[w + 2 :]
+
+    @pytest.mark.parametrize(
+        "corrupt,match",
+        [
+            (_moved_word, "not a multiple"),
+            # divisible and non-negative, but twice as many codewords
+            (lambda b: [2 * c for c in b], "codewords, not"),
+        ],
+    )
+    def test_corrupted_dual_raises(self, prm_3_2, corrupt, match):
+        code, dual = prm_3_2
+        with pytest.raises(RuntimeError, match=match):
+            W._macwilliams(corrupt(dual), 2, code.dimension)
+
+    def test_negative_count_raises(self):
+        # B = (1, 3, 0) over GF(2), N = 2, k = 1 transforms to (2, 1, -1)
+        with pytest.raises(RuntimeError, match="gives -1 codewords"):
+            W._macwilliams([1, 3, 0], 2, 1)
+
+
+@st.composite
+def generator_matrices(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    length = draw(st.integers(1, 12))
+    # both sides small enough for naive enumeration
+    kmax = max(k for k in range(length + 1) if q**k <= NAIVE_LIMIT)
+    kmin = min(k for k in range(length + 1) if q ** (length - k) <= NAIVE_LIMIT)
+    assume(kmin <= kmax)
+    rows = draw(st.integers(max(kmin, 1), max(kmax, 1)))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * length, max_size=rows * length))
+    red, rank, _ = rref(np.array(entries, dtype=np.int64).reshape(rows, length), GF(q))
+    assume(rank > 0 and q ** (length - rank) <= NAIVE_LIMIT)
+    return q, red[:rank]
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(generator_matrices())
+def test_transform_of_naive_dual_is_naive_primal(qgen):
+    q, gen = qgen
+    dim, length = gen.shape
+    primal = naive_weight_counts(_matrix_code(gen, q))
+    dual = naive_weight_counts(_matrix_code(nullspace(gen, GF(q)), q))
+    as_list = [dual.get(i, 0) for i in range(length + 1)]
+    assert _as_dict(W._macwilliams(as_list, q, dim)) == primal

@@ -32,7 +32,9 @@ class TestDistributions:
         rep = weight_report(build(CodeParams("rm", 2, 2, 1)))
         assert rep.weight_counts == {0: 1, 2: 6, 4: 1}
         assert (rep.min_weight, rep.next_weight) == (2, 4)
-        assert rep.codewords_scanned == 8
+        # [4,3] code: the dual (the repetition code) is counted
+        assert rep.side == "dual"
+        assert rep.codewords_scanned == 2
 
     def test_prm_2_2_gf2_frozen(self):
         rep = weight_report(build(CodeParams("prm", 2, 2, 2)))
@@ -311,6 +313,7 @@ class TestJson:
             "counts",
             "witnesses",
             "scanned",
+            "side",
             "elapsed_ms",
         }
         assert doc["counts"] == {"0": 1, "2": 6, "4": 1}
@@ -331,7 +334,8 @@ class TestJson:
         assert docs[0] == docs[1]
 
     def test_scanned_counts_physical_enumeration(self):
+        # [15,10] binary code: its 2^5 dual codewords are counted
         rep2 = weight_report(build(CodeParams("prm", 2, 3, 2)))
-        assert rep2.codewords_scanned == 2**10
+        assert (rep2.side, rep2.codewords_scanned) == ("dual", 2**5)
         rep3 = weight_report(build(CodeParams("rm", 3, 2, 1)))
-        assert rep3.codewords_scanned == (3**3 - 1) // 2 + 1
+        assert (rep3.side, rep3.codewords_scanned) == ("primal", (3**3 - 1) // 2 + 1)
