@@ -25,6 +25,7 @@ def _instances():
     out += [("prm", 5, 1, d) for d in range(1, 6)]
     out += [("prm", 7, 1, d) for d in range(1, 8)]
     out += [("prm", 5, 2, 2), ("prm", 7, 2, 2)]
+    out += [("prm", 7, 3, 1)]  # weight 343: above uint8
     return out
 
 
@@ -40,24 +41,30 @@ def _as_dict(counts):
 
 
 def _full_scan_witnesses_qp(gen, q, targets):
-    # the q > 2 witness pass as it was before it stopped early: every
-    # class representative is visited and the K smallest kept
+    # every class representative (lowest nonzero digit 1) is multiplied
+    # out as a message matrix and the K smallest per target kept; shares
+    # no code with the kernel
     dim = gen.shape[0]
     qpow = np.array([q**i for i in range(dim)], dtype=object)
     pool = {t: [] for t in targets}
     for lead in range(dim):
-        for msgs in W._class_reps(dim, q, lead):
-            w = np.count_nonzero((msgs @ gen) % q, axis=1)
-            for t in targets:
-                for i in np.nonzero(w == t)[0]:
-                    m = int((msgs[i] * qpow).sum())
-                    lst = pool[t]
-                    if len(lst) < W.WITNESS_CAP:
-                        lst.append(m)
-                        lst.sort()
-                    elif m < lst[-1]:
-                        lst[-1] = m
-                        lst.sort()
+        free = dim - lead - 1
+        r = np.arange(q**free, dtype=np.int64)
+        msgs = np.zeros((q**free, dim), dtype=np.int64)
+        msgs[:, lead] = 1
+        for j in range(free):
+            msgs[:, lead + 1 + j] = r // q**j % q
+        w = np.count_nonzero((msgs @ gen) % q, axis=1)
+        for t in targets:
+            for i in np.nonzero(w == t)[0]:
+                m = int((msgs[i] * qpow).sum())
+                lst = pool[t]
+                if len(lst) < W.WITNESS_CAP:
+                    lst.append(m)
+                    lst.sort()
+                elif m < lst[-1]:
+                    lst[-1] = m
+                    lst.sort()
     return pool
 
 
@@ -97,15 +104,12 @@ class TestSideChoice:
         assert weight_report(code).side == "primal"
 
     def test_blocked_kernel_on_primal_generator(self, monkeypatch):
-        # weight_report now counts these through their duals; the blocked
-        # q = 2 kernel must still agree with the Gray walk on the code itself
-        monkeypatch.setattr(W, "_GRAY_LIMIT", 1)
+        # weight_report counts these through their duals; the blocked
+        # q = 2 kernel must still count the code itself
         monkeypatch.setattr(W, "_BLOCK_BITS", 4)
         for family, n, d in [("rm", 4, 2), ("prm", 3, 3)]:
             code = build(CodeParams(family, 2, n, d))
-            blocked, _ = W._counts_q2(code.gen, 2)
-            gray = W.gray_weight_counts(W._pack_rows(code), code.length)
-            assert np.array_equal(blocked, gray)
+            assert _as_dict(_kernel_counts(code.gen, 2)) == naive_weight_counts(code)
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +179,44 @@ def test_transform_of_naive_dual_is_naive_primal(qgen):
     dual = naive_weight_counts(_matrix_code(nullspace(gen, GF(q)), q))
     as_list = [dual.get(i, 0) for i in range(length + 1)]
     assert _as_dict(W._macwilliams(as_list, q, dim)) == primal
+
+
+@st.composite
+def scrambled_qary_generators(draw):
+    """A random full-rank generator over GF(3/5/7) with N <= 12, put in
+    reduced form and then moved to a random basis of its row space by
+    invertible row operations, so the kernel sees no identity columns."""
+    q = draw(st.sampled_from([3, 5, 7]))
+    length = draw(st.integers(1, 12))
+    kmax = max(k for k in range(length + 1) if q**k <= NAIVE_LIMIT)
+    rows = draw(st.integers(1, kmax))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * length, max_size=rows * length))
+    red, rank, _ = rref(np.array(entries, dtype=np.int64).reshape(rows, length), GF(q))
+    assume(rank > 0)
+    gen = red[:rank].copy()
+    ops = st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1), st.integers(1, q - 1))
+    for i, j, c in draw(st.lists(ops, max_size=3 * rank)):
+        if i == j:
+            gen[i] = gen[i] * c % q
+        else:
+            gen[i] = (gen[i] + c * gen[j]) % q
+    return q, gen
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(scrambled_qary_generators())
+def test_qary_kernel_matches_naive(qgen):
+    q, gen = qgen
+    dim, length = gen.shape
+    naive = naive_weight_counts(_matrix_code(gen, q))
+    nonzero = sorted(w for w in naive if w)
+    targets = nonzero[:2]
+    # q bytes per coordinate: one digit per table and many blocks per lead;
+    # the default: every lead in a single block
+    for table_bytes in (q * length, W._TABLE_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(W, "_TABLE_BYTES", table_bytes)
+            counts, scanned = W._counts_qp(gen, q)
+            assert _as_dict([int(c) for c in counts]) == naive
+            assert scanned == 1 + (q**dim - 1) // (q - 1)
+            assert W._witnesses_qp(gen, q, targets) == _full_scan_witnesses_qp(gen, q, targets)

@@ -14,17 +14,26 @@ from prmw import (
     weight_report,
 )
 import prmw.weights as W
-from prmw.weights import _blocked_counts_range, _low_table, _pack_rows, gray_weight_counts
+from prmw.weights import _blocked_counts_range, _low_table, _pack_gen
 
 
 @pytest.fixture
-def force_blocked(monkeypatch):
-    # route even tiny codes through the partitioned vectorized kernel
-    monkeypatch.setattr(W, "_GRAY_LIMIT", 1)
+def small_blocks(monkeypatch):
+    # split even tiny binary codes into many blocks of 2^4 messages
+    monkeypatch.setattr(W, "_BLOCK_BITS", 4)
 
 
 def counts_of(arr):
     return {i: int(c) for i, c in enumerate(arr) if c}
+
+
+def naive_witnesses(code, targets):
+    """The first WITNESS_CAP binary messages of each target weight, in
+    ascending message value, from the full message matrix."""
+    dim = code.dimension
+    msgs = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+    w = np.count_nonzero((msgs @ code.gen) % 2, axis=1)
+    return {t: [int(m) for m in np.flatnonzero(w == t)[: W.WITNESS_CAP]] for t in targets}
 
 
 class TestDistributions:
@@ -96,20 +105,39 @@ class TestDistributions:
         assert rep.weight_counts == {0: 1, 6: 24, 9: 2}
 
 
+class TestPrimalInvariants:
+    @pytest.mark.parametrize(
+        "family,q,n,d,kernel",
+        [("prm", 2, 2, 1, "_counts_q2"), ("rm", 3, 2, 1, "_counts_qp")],
+    )
+    def test_missing_codeword_raises(self, monkeypatch, family, q, n, d, kernel):
+        # a kernel that loses one codeword of the top weight: the zero
+        # word is still counted once, but the total is q^k - 1
+        counting = getattr(W, kernel)
+
+        def lossy(gen, arg):
+            counts, scanned = counting(gen, arg)
+            counts = counts.copy()
+            counts[np.flatnonzero(counts)[-1]] -= 1
+            return counts, scanned
+
+        monkeypatch.setattr(W, kernel, lossy)
+        code = build(CodeParams(family, q, n, d))
+        with pytest.raises(RuntimeError, match=f"codewords, not {q}\\^{code.dimension}"):
+            weight_report(code)
+
+
 class TestEnumerationPaths:
-    def test_gray_matches_naive(self):
+    def test_single_block_matches_naive(self):
+        # 2^k <= 2^_BLOCK_BITS: the whole message space is one table
         for family, n, d in [("rm", 3, 2), ("prm", 3, 2), ("prm", 2, 2)]:
             code = build(CodeParams(family, 2, n, d))
-            got = counts_of(gray_weight_counts(_pack_rows(code), code.length))
-            assert got == naive_weight_counts(code)
+            assert counts_of(W._counts_q2(code.gen, 1)[0]) == naive_weight_counts(code)
 
-    def test_blocked_matches_gray(self, force_blocked):
+    def test_blocked_matches_naive(self, small_blocks):
         for family, n, d in [("rm", 2, 1), ("rm", 4, 2), ("prm", 3, 3)]:
             code = build(CodeParams(family, 2, n, d))
-            rep = weight_report(code)
-            assert rep.weight_counts == counts_of(
-                gray_weight_counts(_pack_rows(code), code.length)
-            )
+            assert counts_of(W._counts_q2(code.gen, 1)[0]) == naive_weight_counts(code)
 
     def test_scalar_class_matches_naive_gf3(self):
         # nonzero multiplicities are exactly (q-1) per class representative
@@ -123,30 +151,29 @@ class TestEnumerationPaths:
 
     def test_partition_merge_schedule_independent(self):
         code = build(CodeParams("prm", 2, 3, 3))
-        rows = _pack_rows(code)
+        rows = _pack_gen(code.gen)
         bbits = 4
         table = _low_table(rows, bbits, 1)
         nblocks = 1 << (len(rows) - bbits)
         parts = [(i, i + 1) for i in range(nblocks)]
         rng = np.random.default_rng(1)
-        full = gray_weight_counts(rows, code.length)
+        full = naive_weight_counts(code)
         for _ in range(3):
             rng.shuffle(parts)
             total = sum(
                 _blocked_counts_range(rows, code.length, table, bbits, lo, hi)
                 for lo, hi in parts
             )
-            assert np.array_equal(total, full)
+            assert counts_of(total) == full
 
-    def test_thread_count_does_not_change_report(self, force_blocked, monkeypatch):
-        monkeypatch.setattr(W, "_BLOCK_BITS", 4)  # several blocks per partition
+    def test_thread_count_does_not_change_report(self, small_blocks):
         code = build(CodeParams("prm", 2, 3, 2))
         r1 = weight_report(code, threads=1)
         r3 = weight_report(code, threads=3)
         assert r1.weight_counts == r3.weight_counts
         assert r1.witnesses == r3.witnesses
 
-    def test_multiword_lengths(self, force_blocked):
+    def test_multiword_lengths(self, small_blocks):
         # 127 columns forces two 64-bit words per codeword
         code = build(CodeParams("prm", 2, 6, 1))
         rep = weight_report(code)
@@ -158,12 +185,15 @@ class TestWitnesses:
         code = build(CodeParams("prm", 2, 3, 2))
         assert weight_report(code).witnesses == weight_report(code).witnesses
 
-    def test_path_independent(self, force_blocked):
+    def test_path_independent(self, monkeypatch):
+        # one table for all 2^10 messages, or 64 blocks of 16 stopped
+        # once full: the same smallest messages as the full scan
         code = build(CodeParams("prm", 2, 3, 2))
-        blocked = weight_report(code).witnesses
-        # fixture undone only at teardown; compare against fresh gray run
-        W._GRAY_LIMIT = 1 << 20
-        assert weight_report(code).witnesses == blocked
+        targets = [4, 6]
+        expected = naive_witnesses(code, targets)
+        assert W._witnesses_q2(code.gen, targets) == expected
+        monkeypatch.setattr(W, "_BLOCK_BITS", 4)
+        assert W._witnesses_q2(code.gen, targets) == expected
 
     def test_cap_and_weights(self):
         code = build(CodeParams("prm", 2, 3, 2))
