@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 from .codes import PRM, RM, CodeParams, build
 from .errors import BudgetExceeded, DomainError
-from .formulas import (
-    decompose_projective,
-    w1_prm,
-    w1_rm,
-    w2_prm_binary,
-    w2_rm_binary,
-    w2_rm_candidates,
-)
+from .formulas import avoiding_bounds, expectation
 from .geometry import (
     check_subspace_bounds,
     find_avoiding_subspace,
@@ -122,39 +115,6 @@ def _emit(text: str, out: str | None) -> None:
 # -- table ---------------------------------------------------------------------
 
 
-def _closed_forms(family: str, q: int, n: int, d: int) -> tuple[str, str, list | None]:
-    """(w1_formula, w2_formula_or_candidates, w2_membership_set).
-
-    The membership set is what a brute-force W2 is checked against when
-    only a candidate set is known; None means check equality against the
-    rendered value, empty string means no W2 assertion at all.
-    """
-    if family == RM:
-        w1 = str(w1_rm(n, d, q)) if d >= 1 else ""
-        if q == 2:
-            w2 = str(w2_rm_binary(n, d)) if 1 <= d <= n - 1 else ""
-            return w1, w2, None
-        try:
-            cands = w2_rm_candidates(n, d, q)
-            return w1, "in {%s}" % ",".join(map(str, cands.options)), list(cands.options)
-        except DomainError:
-            return w1, "", []
-    # PRM: W1 equals the affine minimum at one degree less, W2 from the
-    # binary closed form;
-    # for q > 2 only the affine upper-bound candidate set is displayed
-    # and W2 is reported empirically (no assertion)
-    w1 = str(w1_prm(n, d, q)) if d >= 2 else ""
-    if q == 2:
-        w2 = str(w2_prm_binary(n, d)) if 2 <= d <= n else ""
-        return w1, w2, None
-    try:
-        cands = w2_rm_candidates(n, d - 1, q) if d >= 2 else None
-    except DomainError:
-        cands = None
-    w2 = "<= max{%s}" % ",".join(map(str, cands.options)) if cands else ""
-    return w1, w2, []
-
-
 def _grid(cfg: RunConfig) -> list[tuple[int, int]]:
     grid = [(n, d) for n in cfg.n_values for d in cfg.d_values(n)]
     if not grid:
@@ -174,8 +134,9 @@ def _table_rows(cfg: RunConfig) -> list[dict]:
             rows.append(row)
             continue
         row["length"], row["dimension"] = code.length, code.dimension
-        w1f, w2f, w2_set = _closed_forms(cfg.family, cfg.q, n, d)
-        row["w1_formula"], row["w2_formula"] = w1f, w2f
+        exp = expectation(code.params)
+        row["w1_formula"] = "" if exp.w1 is None else str(exp.w1)
+        row["w2_formula"] = exp.w2_text
         try:
             rep = weight_report(code, budget=cfg.budget, threads=cfg.threads)
         except BudgetExceeded as exc:
@@ -184,14 +145,8 @@ def _table_rows(cfg: RunConfig) -> list[dict]:
             continue
         row["w1_brute"] = rep.min_weight
         row["w2_brute"] = "" if rep.next_weight is None else rep.next_weight
-        checks = []
-        if w1f:
-            checks.append(str(rep.min_weight) == w1f)
-        if w2_set is None and w2f:
-            checks.append(str(rep.next_weight) == w2f)
-        elif w2_set:
-            checks.append(rep.next_weight in w2_set)
-        row["match"] = "true" if all(checks) else "false" if checks else ""
+        # like verify, a row fails only where a closed form is contradicted
+        row["match"] = "false" if exp.check(rep.min_weight, rep.next_weight) is False else "true"
         rows.append(row)
     return rows
 
@@ -253,15 +208,20 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
     t0 = time.perf_counter()
 
     def record(check: str, status: str, detail: str) -> None:
+        # each entry is timed from the previous one, so the entries of an
+        # instance add up to its wall time
+        nonlocal t0
+        now = time.perf_counter()
         checks.append(
             {
                 "check": check,
                 "instance": name,
                 "status": status,
                 "detail": detail,
-                "elapsed_ms": int((time.perf_counter() - t0) * 1000),
+                "elapsed_ms": int((now - t0) * 1000),
             }
         )
+        t0 = now
 
     try:
         code = build(CodeParams(cfg.family, cfg.q, n, d))
@@ -273,17 +233,12 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
         record("weights", "fail", str(exc))
         return
 
-    # weight match against closed forms
-    w1f, w2f, w2_set = _closed_forms(cfg.family, cfg.q, n, d)
-    ok = (not w1f or str(rep.min_weight) == w1f) and (
-        (w2_set is None and (not w2f or str(rep.next_weight) == w2f))
-        or (w2_set is not None and (not w2_set or rep.next_weight in w2_set))
-    )
+    exp = expectation(code.params)
     record(
         "weights",
-        "pass" if ok else "fail",
+        "fail" if exp.check(rep.min_weight, rep.next_weight) is False else "pass",
         f"dimension={rep.dimension} w1={rep.min_weight} w2={rep.next_weight} "
-        f"formula w1={w1f or '-'} w2={w2f or '-'}",
+        f"formula w1={'-' if exp.w1 is None else exp.w1} w2={exp.w2_text or '-'}",
     )
 
     if cfg.family != PRM or d < 2:
@@ -291,7 +246,8 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
 
     # geometry checks need codeword supports: exhaustively over all
     # nonzero codewords while feasible, else over the extreme-weight
-    # witnesses of the report
+    # witnesses of the report; collecting them is charged to
+    # intersection_bounds
     gf = GF(cfg.q)
     exhaustive = cfg.q**rep.dimension <= EXHAUSTIVE_GEOMETRY_LIMIT
     if exhaustive:
@@ -304,7 +260,6 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
         supports = [w.support for w in rep.witnesses]
         scope = f"{len(supports)} witness codewords"
 
-    t0 = time.perf_counter()
     try:
         violations = 0
         for sup in supports:
@@ -317,11 +272,7 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
     except BudgetExceeded as exc:
         record("intersection_bounds", "budget", str(exc))
 
-    k, ell = decompose_projective(d, cfg.q)
-    q = cfg.q
-    hyperplane_bound = (1 + 1 / q) * (q - ell) * q ** (n - k - 1)
-    subspace_bound = (q - ell + 1) * q ** (n - k - 1)
-    t0 = time.perf_counter()
+    k, hyperplane_bound, subspace_bound = avoiding_bounds(n, d, cfg.q)
     try:
         missing1 = sum(
             1
@@ -332,9 +283,8 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
         record(
             "avoiding_hyperplane",
             "pass" if missing1 == 0 else "fail",
-            f"{scope}, |S| < {hyperplane_bound:g}, {missing1} without avoiding hyperplane",
+            f"{scope}, |S| < {float(hyperplane_bound):g}, {missing1} without avoiding hyperplane",
         )
-        t0 = time.perf_counter()
         missing2 = sum(
             1
             for sup in supports
@@ -349,17 +299,18 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
     except BudgetExceeded as exc:
         record("avoiding_subspace", "budget", str(exc))
 
-    # the quadric witness settles the strict-inequality case
-    if q == 2 and d == 2 and n >= 3:
-        t0 = time.perf_counter()
+    # the quadric witness settles the strict-inequality case: it attains
+    # the closed-form W2 and is not a union of hyperplanes
+    if cfg.q == 2 and d == 2 and n >= 3:
         quad = parse_poly("X0*X3+X1*X2", n + 1, gf)
         sup = projective_support(quad, n, gf)
         cover = zero_set_is_hyperplane_union(quad, n, gf)
-        ok = len(sup) == 3 * 2 ** (n - 2) == rep.next_weight and not cover.is_union
+        (expected,) = exp.w2
+        ok = len(sup) == expected == rep.next_weight and not cover.is_union
         record(
             "witness_quadric",
             "pass" if ok else "fail",
-            f"weight={len(sup)} expected={3 * 2 ** (n - 2)} hyperplane_union={cover.is_union}",
+            f"weight={len(sup)} expected={expected} hyperplane_union={cover.is_union}",
         )
 
 
@@ -461,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--family", choices=[RM, PRM], default=PRM)
         p.add_argument("--q", type=int, required=True, help="field size (prime)")
         p.add_argument("--budget", type=int, default=None, help=f"codeword cap, default {DEFAULT_BUDGET}")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="binary counting pass only")
         p.add_argument("--format", dest="fmt", choices=["text", "csv", "json"], default="text")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 

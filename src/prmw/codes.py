@@ -34,11 +34,7 @@ PRM = "prm"
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Code family and parameters, with the two degree decompositions.
-
-    (a, b): d = a(q-1) + b, 0 < b <= q-1 (affine convention, d >= 1).
-    (k, ell): d-1 = k(q-1) + ell, 0 < ell <= q-1 (projective convention,
-    d >= 2; both are None where undefined).
+    """Code family and parameters.
 
     Construction accepts the full range the evaluation map makes sense
     on: RM for 0 <= d <= n(q-1), PRM for 1 <= d <= n(q-1)+1 (one past
@@ -62,30 +58,6 @@ class CodeParams:
             raise DomainError(f"rm order d={self.d} outside [0, {dmax}]")
         if self.family == PRM and not 1 <= self.d <= dmax + 1:
             raise DomainError(f"prm order d={self.d} outside [1, {dmax + 1}]")
-
-    @property
-    def a(self) -> int | None:
-        if self.d < 1:
-            return None
-        return (self.d - 1) // (self.q - 1)
-
-    @property
-    def b(self) -> int | None:
-        if self.d < 1:
-            return None
-        return self.d - self.a * (self.q - 1)
-
-    @property
-    def k(self) -> int | None:
-        if self.d < 2:
-            return None
-        return (self.d - 2) // (self.q - 1)
-
-    @property
-    def ell(self) -> int | None:
-        if self.d < 2:
-            return None
-        return self.d - 1 - self.k * (self.q - 1)
 
 
 # -- linear algebra over GF(q) ----------------------------------------------
@@ -231,21 +203,6 @@ class Code:
             f"Code({p.family}(n={p.n}, d={p.d}) over GF({p.q}), "
             f"[{self.length}, {self.dimension}])"
         )
-
-    def message_for_poly(self, f: Poly) -> tuple[int, ...]:
-        """The message whose codeword is the evaluation of f, read off
-        the pivot columns; DomainError if f is not in the code."""
-        gf = self.gf
-        if f.nvars != len(self.basis_monomials[0]):
-            raise DomainError(
-                f"polynomial has {f.nvars} variables, code expects "
-                f"{len(self.basis_monomials[0])}"
-            )
-        v = np.array([f.evaluate(p) for p in self.points], dtype=np.int64)
-        msg = v[list(self.pivots)]
-        if not np.array_equal((msg @ self.gen) % gf.q, v):
-            raise DomainError("polynomial does not evaluate into the code")
-        return tuple(int(x) for x in msg)
 
     def poly_for_message(self, message) -> Poly:
         """A polynomial over the kept monomials whose evaluation is the

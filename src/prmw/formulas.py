@@ -1,13 +1,19 @@
-"""Closed-form minimum and next-to-minimal weight formulas.
+"""Closed-form minimum and next-to-minimal weight formulas, and what
+they assert about one code.
 
 These are the pure-arithmetic values that exhaustive enumeration must
-reproduce.  The affine decomposition is d = a(q-1) + b with 0 < b <= q-1;
-the projective one is d-1 = k(q-1) + ell with 0 < ell <= q-1.
+reproduce.  There is one decomposition, d = a(q-1) + b with
+0 < b <= q-1 (``decompose_affine``); the projective pair (k, ell) of
+PRM(n, d) is the affine pair of d-1.
 
 For general q only the three-value candidate set for the affine
 next-to-minimal weight is exposed; the rule selecting which candidate
 applies is out of scope and empirical values are checked for membership
 instead.  The binary closed forms are complete.
+
+``expectation`` is the one place where these become pass/fail checks:
+its ``Expectation`` says which W1 and W2 values a code may have and how
+to render them, and ``check`` judges a computed pair.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .codes import RM, CodeParams
 from .errors import DomainError
 from .gfp import GF
 
@@ -25,14 +32,6 @@ def decompose_affine(d: int, q: int) -> tuple[int, int]:
         raise DomainError(f"d={d} must be >= 1")
     a = (d - 1) // (q - 1)
     return a, d - a * (q - 1)
-
-
-def decompose_projective(d: int, q: int) -> tuple[int, int]:
-    """(k, ell) with d-1 = k(q-1) + ell, 0 < ell <= q-1."""
-    if d < 2:
-        raise DomainError(f"d={d} must be >= 2")
-    k = (d - 2) // (q - 1)
-    return k, d - 1 - k * (q - 1)
 
 
 def w1_rm(n: int, d: int, q: int) -> int:
@@ -59,7 +58,7 @@ def w1_prm(r: int, d: int, q: int) -> int:
         raise DomainError(f"r={r} must be >= 0")
     if d < 2:
         raise DomainError(f"d={d} must be >= 2")
-    k, ell = decompose_projective(d, q)
+    k, ell = decompose_affine(d - 1, q)
     if r <= k:
         return 1
     return (q - ell) * q ** (r - k - 1)
@@ -132,3 +131,74 @@ def w2_rm_candidates(n: int, d: int, q: int) -> W2Candidates:
                 f"binary W2 {w2_rm_binary(n, d)} not among candidates {cands.options}"
             )
     return cands
+
+
+def avoiding_bounds(n: int, d: int, q: int) -> tuple[int, Fraction, int]:
+    """(k, hyperplane bound, subspace bound) for PRM(n, d), d >= 2, with
+    (k, ell) the affine pair of d-1.
+
+    A codeword support S with |S| < (q+1)(q-ell) q^(n-k-2) misses some
+    hyperplane, and one with |S| <= (q-ell+1) q^(n-k-1) misses a
+    subspace of dimension at least k.
+    """
+    k, ell = decompose_affine(d - 1, q)
+    hyperplane = (q + 1) * (q - ell) * Fraction(q) ** (n - k - 2)
+    return k, hyperplane, (q - ell + 1) * q ** (n - k - 1)
+
+
+@dataclass(frozen=True)
+class Expectation:
+    """What the closed forms assert about one code.
+
+    ``w1`` is the exact minimum weight, or None if none is asserted.
+    ``w2`` holds the allowed next-to-minimal weights: one value is an
+    exact closed form, several a candidate set, () asserts nothing.
+    ``w2_text`` renders the W2 formula, which may show a value that is
+    not asserted (the q > 2 projective bound).
+    """
+
+    w1: int | None
+    w2: tuple[int, ...] = ()
+    w2_text: str = ""
+
+    def check(self, w1: int, w2: int | None) -> bool | None:
+        """Whether computed weights agree; None if nothing is asserted."""
+        verdicts = []
+        if self.w1 is not None:
+            verdicts.append(w1 == self.w1)
+        if self.w2:
+            verdicts.append(w2 in self.w2)
+        return all(verdicts) if verdicts else None
+
+
+def expectation(params: CodeParams) -> Expectation:
+    """The closed forms for ``params``.
+
+    RM: W1 exactly; W2 exactly for q = 2 and 1 <= d <= n-1, and for
+    q > 2 as membership in the candidate set.  PRM: W1 equals the affine
+    minimum at one degree less; W2 exactly for q = 2 and 2 <= d <= n;
+    for q > 2 the candidates of RM(n, d-1) are rendered as an upper
+    bound and nothing is asserted.
+    """
+    q, n, d = params.q, params.n, params.d
+    if params.family == RM:
+        if d < 1:
+            return Expectation(None)
+        w1 = w1_rm(n, d, q)
+        if q > 2:
+            options = w2_rm_candidates(n, d, q).options
+            return Expectation(w1, options, "in {%s}" % ",".join(map(str, options)))
+        if d > n - 1:
+            return Expectation(w1)
+        w2 = w2_rm_binary(n, d)
+    else:
+        if d < 2:
+            return Expectation(None)
+        w1 = w1_prm(n, d, q)
+        if q > 2:
+            options = w2_rm_candidates(n, d - 1, q).options
+            return Expectation(w1, (), "<= max{%s}" % ",".join(map(str, options)))
+        if d > n:
+            return Expectation(w1)
+        w2 = w2_prm_binary(n, d)
+    return Expectation(w1, (w2,), str(w2))

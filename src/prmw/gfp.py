@@ -53,15 +53,6 @@ class GF:
     def __hash__(self) -> int:
         return hash(("GF", self.q))
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
 
@@ -71,18 +62,6 @@ class GF:
             raise DomainError(f"0 has no inverse in GF({self.q})")
         return self._inv[a - 1]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a % self.q, e, self.q)
-
     def elements(self) -> range:
         """All residues 0 .. q-1."""
         return range(self.q)
-
-    def units(self) -> range:
-        """Nonzero residues 1 .. q-1."""
-        return range(1, self.q)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from prmw.cli import TABLE_COLUMNS, main
 
@@ -97,14 +98,34 @@ class TestVerify:
 
     def test_check_failure_exit_1(self, capsys, monkeypatch):
         # sabotage the closed form so the weight match fails
-        import prmw.cli as cli_mod
+        import prmw.formulas as formulas_mod
 
-        monkeypatch.setattr(cli_mod, "w2_prm_binary", lambda n, d: 999)
+        monkeypatch.setattr(formulas_mod, "w2_prm_binary", lambda n, d: 999)
         code, out = run_cli(capsys, "verify", "--q", "2", "--n", "2", "--d", "2", "--format", "json")
         assert code == 1
         doc = json.loads(out)
         assert doc["status"] == "fail"
         assert any(c["status"] == "fail" for c in doc["checks"])
+
+    def test_support_collection_timed_in_intersection_bounds(self, capsys, monkeypatch):
+        # the entries of an instance are timed back to back, so collecting
+        # the supports is charged to the first geometry check
+        import prmw.cli as cli_mod
+
+        real = cli_mod.codeword_support
+        calls = []
+
+        def slow_first(code, message):
+            if not calls:
+                time.sleep(0.05)
+            calls.append(message)
+            return real(code, message)
+
+        monkeypatch.setattr(cli_mod, "codeword_support", slow_first)
+        code, out = run_cli(capsys, "verify", "--q", "2", "--n", "2", "--d", "2", "--format", "json")
+        assert code == 0 and calls
+        (bounds,) = [c for c in json.loads(out)["checks"] if c["check"] == "intersection_bounds"]
+        assert bounds["elapsed_ms"] >= 50
 
 
 class TestWitness:

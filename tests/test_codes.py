@@ -81,29 +81,6 @@ class TestNullspaceInverse:
 
 
 class TestCodeParams:
-    def test_affine_decomposition(self):
-        p = CodeParams("rm", 3, 4, 5)
-        assert (p.a, p.b) == (2, 1)
-        assert p.a * 2 + p.b == 5 and 0 < p.b <= 2
-
-    def test_projective_decomposition(self):
-        p = CodeParams("prm", 2, 4, 3)
-        assert (p.k, p.ell) == (1, 1)
-        p2 = CodeParams("prm", 3, 3, 5)
-        assert p2.k * 2 + p2.ell == 4 and 0 < p2.ell <= 2
-
-    @pytest.mark.parametrize("q", [2, 3, 5])
-    def test_decompositions_recomputable(self, q):
-        for n in (2, 3):
-            for d in range(2, n * (q - 1) + 1):
-                p = CodeParams("prm", q, n, d)
-                assert p.a * (q - 1) + p.b == d and 0 < p.b <= q - 1
-                assert p.k * (q - 1) + p.ell == d - 1 and 0 < p.ell <= q - 1
-                assert 0 <= p.k <= n - 1
-
-    def test_k_undefined_below_two(self):
-        assert CodeParams("prm", 2, 3, 1).k is None
-
     @pytest.mark.parametrize(
         "family,q,n,d",
         [("rm", 2, 2, -1), ("rm", 2, 2, 3), ("prm", 2, 2, 0), ("prm", 2, 2, 4), ("rm", 4, 2, 1), ("bad", 2, 2, 1), ("rm", 2, 0, 1)],
@@ -186,7 +163,7 @@ class TestBuildPrm:
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 for p in pts:
-                    v = (gf.pow(p[j], q) * p[i] - gf.pow(p[i], q) * p[j]) % q
+                    v = (pow(p[j], q, q) * p[i] - pow(p[i], q, q) * p[j]) % q
                     assert v == 0
 
     def test_column_point_correspondence(self):

@@ -182,12 +182,13 @@ def test_transform_of_naive_dual_is_naive_primal(qgen):
 
 
 @st.composite
-def scrambled_qary_generators(draw):
-    """A random full-rank generator over GF(3/5/7) with N <= 12, put in
-    reduced form and then moved to a random basis of its row space by
-    invertible row operations, so the kernel sees no identity columns."""
-    q = draw(st.sampled_from([3, 5, 7]))
-    length = draw(st.integers(1, 12))
+def scrambled_generators(draw, fields, max_length):
+    """A random full-rank generator over one of ``fields`` with
+    N <= ``max_length``, put in reduced form and then moved to a random
+    basis of its row space by invertible row operations, so the kernel
+    sees no identity columns."""
+    q = draw(st.sampled_from(fields))
+    length = draw(st.integers(1, max_length))
     kmax = max(k for k in range(length + 1) if q**k <= NAIVE_LIMIT)
     rows = draw(st.integers(1, kmax))
     entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * length, max_size=rows * length))
@@ -204,7 +205,7 @@ def scrambled_qary_generators(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(scrambled_qary_generators())
+@given(scrambled_generators([3, 5, 7], 12))
 def test_qary_kernel_matches_naive(qgen):
     q, gen = qgen
     dim, length = gen.shape
@@ -220,3 +221,31 @@ def test_qary_kernel_matches_naive(qgen):
             assert _as_dict([int(c) for c in counts]) == naive
             assert scanned == 1 + (q**dim - 1) // (q - 1)
             assert W._witnesses_qp(gen, q, targets) == _full_scan_witnesses_qp(gen, q, targets)
+
+
+def _full_scan_witnesses_q2(gen, targets):
+    # every message multiplied out at once, in ascending message order,
+    # and the first K per target kept; shares no code with the kernel
+    dim = gen.shape[0]
+    msgs = (np.arange(2**dim, dtype=np.int64)[:, None] >> np.arange(dim)) & 1
+    w = np.count_nonzero((msgs @ gen) % 2, axis=1)
+    return {t: [int(m) for m in np.flatnonzero(w == t)[: W.WITNESS_CAP]] for t in targets}
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(scrambled_generators([2], 16))
+def test_binary_kernel_matches_naive(qgen):
+    _, gen = qgen
+    dim = gen.shape[0]
+    naive = naive_weight_counts(_matrix_code(gen, 2))
+    targets = sorted(w for w in naive if w)[:2]
+    # the default: one block per code; 2 bits: 4-message blocks, split
+    # between the threads
+    for block_bits in (W._BLOCK_BITS, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(W, "_BLOCK_BITS", block_bits)
+            for threads in (1, 2):
+                counts, scanned = W._counts_q2(gen, threads)
+                assert _as_dict([int(c) for c in counts]) == naive
+                assert scanned == 2**dim
+            assert W._witnesses_q2(gen, targets) == _full_scan_witnesses_q2(gen, targets)

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from prmw import (
+    CodeParams,
     DomainError,
     w1_prm,
     w1_rm,
@@ -8,7 +11,7 @@ from prmw import (
     w2_rm_binary,
     w2_rm_candidates,
 )
-from prmw.formulas import decompose_affine, decompose_projective
+from prmw.formulas import Expectation, avoiding_bounds, decompose_affine, expectation
 
 
 class TestW1Rm:
@@ -139,8 +142,72 @@ class TestDecompositions:
             a, b = decompose_affine(d, q)
             assert d == a * (q - 1) + b and 0 < b <= q - 1
 
+
+
+class TestAvoidingBounds:
+    def test_exact_fraction(self):
+        # GF(3) PRM(1,3): k = 0, ell = 2, hyperplane bound 4/3
+        assert avoiding_bounds(1, 3, 3) == (0, Fraction(4, 3), 2)
+        assert avoiding_bounds(4, 2, 2) == (0, 12, 16)
+
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
-    def test_projective(self, q):
-        for d in range(2, 4 * (q - 1) + 1):
-            k, ell = decompose_projective(d, q)
-            assert d - 1 == k * (q - 1) + ell and 0 < ell <= q - 1
+    def test_consistent_with_projective_minimum(self, q):
+        # (q-ell) q^(n-k-1) is W1 of PRM(n, d), so the bounds are
+        # (1 + 1/q) W1 and W1 + q^(n-k-1)
+        for n in range(1, 5):
+            for d in range(2, n * (q - 1) + 2):
+                k, hyperplane, subspace = avoiding_bounds(n, d, q)
+                w1 = w1_prm(n, d, q)
+                assert 0 <= k <= n - 1
+                assert hyperplane == Fraction(q + 1, q) * w1
+                assert subspace == w1 + q ** (n - k - 1)
+
+
+class TestExpectation:
+    def test_binary_closed_forms(self):
+        for n in range(1, 8):
+            for d in range(n + 1):
+                exp = expectation(CodeParams("rm", 2, n, d))
+                assert exp.w1 == (w1_rm(n, d, 2) if d >= 1 else None)
+                assert exp.w2 == ((w2_rm_binary(n, d),) if 1 <= d <= n - 1 else ())
+                assert exp.w2_text == (str(exp.w2[0]) if exp.w2 else "")
+            for d in range(1, n + 2):
+                exp = expectation(CodeParams("prm", 2, n, d))
+                assert exp.w1 == (w1_prm(n, d, 2) if d >= 2 else None)
+                assert exp.w2 == ((w2_prm_binary(n, d),) if 2 <= d <= n else ())
+                assert exp.w2_text == (str(exp.w2[0]) if exp.w2 else "")
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_qary_rm_candidate_set(self, q):
+        assert expectation(CodeParams("rm", q, 2, 0)) == Expectation(None)
+        for n in range(1, 4):
+            for d in range(1, n * (q - 1) + 1):
+                exp = expectation(CodeParams("rm", q, n, d))
+                options = w2_rm_candidates(n, d, q).options
+                assert exp.w1 == w1_rm(n, d, q)
+                assert exp.w2 == options
+                assert exp.w2_text == "in {%s}" % ",".join(map(str, options))
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_qary_prm_renders_bound_without_asserting(self, q):
+        assert expectation(CodeParams("prm", q, 2, 1)) == Expectation(None)
+        for n in range(1, 4):
+            for d in range(2, n * (q - 1) + 2):
+                exp = expectation(CodeParams("prm", q, n, d))
+                options = w2_rm_candidates(n, d - 1, q).options
+                assert exp.w1 == w1_prm(n, d, q)
+                assert exp.w2 == ()
+                assert exp.w2_text == "<= max{%s}" % ",".join(map(str, options))
+
+    def test_check_verdicts(self):
+        assert Expectation(None).check(1, 2) is None
+        assert Expectation(None, (), "<= max{4,5}").check(1, 99) is None
+        exact = Expectation(4, (6,), "6")
+        assert exact.check(4, 6) is True
+        assert exact.check(4, 7) is False
+        assert exact.check(3, 6) is False
+        assert exact.check(4, None) is False
+        cands = Expectation(2, (4, 5, 6), "in {4,5,6}")
+        assert cands.check(2, 5) is True
+        assert cands.check(2, 7) is False
+        assert Expectation(2).check(2, None) is True

@@ -52,7 +52,7 @@ def test_standard_representative_unique(n, q):
     gf = GF(q)
     for p in projective_points(n, gf):
         assert p[[i for i, c in enumerate(p) if c][0]] == 1
-        for s in gf.units():
+        for s in range(1, q):
             assert standardize(tuple(gf.mul(s, c) for c in p), gf) == p
 
 
