@@ -324,24 +324,25 @@ def code_to_json(code: Code) -> str:
 _BITDUMP_MAGIC = "prmw-bits1"
 
 
+def pack_bits(gen: np.ndarray) -> np.ndarray:
+    """Each 0/1 row as ceil(length/64) little-endian 64-bit words, bit j
+    of word w holding column 64w + j; the rest of the last word is 0."""
+    rows, length = gen.shape
+    packed = np.zeros((rows, 8 * ((length + 63) // 64)), dtype=np.uint8)
+    packed[:, : (length + 7) // 8] = np.packbits(gen, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
 def code_to_bitdump(code: Code) -> bytes:
     """Raw GF(2) bit-matrix dump: ASCII header line, then row-major
     little-endian 64-bit words, ceil(length/64) words per row."""
     if code.params.q != 2:
         raise DomainError("bit-matrix dump is defined for q=2 only")
-    words_per_row = (code.length + 63) // 64
     header = (
         f"{_BITDUMP_MAGIC} point-order={POINT_ORDER_VERSION} "
         f"rows={code.dimension} cols={code.length}\n"
     )
-    out = bytearray(header.encode("ascii"))
-    for row in code.gen:
-        x = 0
-        for j, v in enumerate(row):
-            if v:
-                x |= 1 << j
-        out.extend(x.to_bytes(words_per_row * 8, "little"))
-    return bytes(out)
+    return header.encode("ascii") + pack_bits(code.gen).tobytes()
 
 
 def bitdump_to_rows(blob: bytes) -> tuple[dict, list[list[int]]]:

@@ -4,18 +4,24 @@ Subspaces are enumerated as canonical RREF representatives of
 (s+1) x (n+1) full-rank matrices over GF(q), giving each projective
 s-dimensional subspace exactly once, in a fixed order (pivot columns in
 lexicographic order, then free entries in ascending mixed-radix order).
+Next to that tuple, each (n, q, s) caches one boolean incidence matrix,
+subspaces x points, computed from the defining forms in one product;
+it is the only point-set representation.
 
-Predicates: intersection lower bounds for codeword supports, existence
-of subspaces avoiding a support, whether a zero set is a union of
-hyperplanes, and dehomogenization onto a chart an avoiding hyperplane
-defines.
+The support predicates take a batch of supports (an iterable of point
+index sequences; one support is a one-element batch) and read every
+meet size from one supports x points @ points x subspaces product per
+dimension: intersection lower bounds for codeword supports, and the
+first subspace avoiding each support.  Whether a zero set is a union of
+hyperplanes and the dehomogenization onto a chart an avoiding
+hyperplane defines read the same incidences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -23,7 +29,7 @@ from .codes import CodeParams, invert_matrix, nullspace, rref
 from .errors import BudgetExceeded, DomainError
 from .formulas import w1_prm
 from .gfp import GF
-from .points import point_index, projective_points, projective_size, standardize
+from .points import projective_points, projective_size
 from .poly import Poly
 
 SUBSPACE_ENUM_CAP = 10**6
@@ -35,13 +41,12 @@ class Subspace:
 
     ``forms`` are n - dim independent linear forms whose common zero
     locus the subspace is; ``point_indices`` index its points in the
-    canonical enumeration; ``mask`` is the same set as a bitmask.
+    canonical enumeration, ascending.
     """
 
     dim: int
     forms: tuple[tuple[int, ...], ...]
     point_indices: tuple[int, ...]
-    mask: int
 
 
 def gaussian_binomial(m: int, r: int, q: int) -> int:
@@ -56,33 +61,28 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _proj_points(n: int, q: int):
-    pts = projective_points(n, GF(q))
-    return pts, point_index(pts)
+def _proj_points(n: int, q: int) -> np.ndarray:
+    return np.array(projective_points(n, GF(q)), dtype=np.int64)
 
 
-def _subspace_from_basis(basis: np.ndarray, n: int, gf: GF) -> Subspace:
-    pts, index = _proj_points(n, gf.q)
-    s_lin = basis.shape[0]  # linear dimension
-    idxs = []
-    for lead in range(s_lin):
-        coeff = [0] * s_lin
-        coeff[lead] = 1
-        for tail in product(gf.elements(), repeat=s_lin - lead - 1):
-            c = np.array(coeff[: lead + 1] + list(tail), dtype=np.int64)
-            v = standardize(tuple(int(x) for x in (c @ basis) % gf.q), gf)
-            idxs.append(index[v])
-    idxs = tuple(sorted(idxs))
-    forms = tuple(tuple(int(x) for x in row) for row in nullspace(basis, gf))
-    mask = 0
-    for i in idxs:
-        mask |= 1 << i
-    return Subspace(dim=s_lin - 1, forms=forms, point_indices=idxs, mask=mask)
+def _incidence(forms: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Which points lie on the subspaces: all forms vanish there.  forms
+    is (..., forms, n+1); the result is (..., points), boolean."""
+    return ((forms @ _proj_points(n, q).T) % q == 0).all(axis=-2)
+
+
+def _subspace(forms: np.ndarray, incidence: np.ndarray) -> Subspace:
+    return Subspace(
+        dim=forms.shape[1] - 1 - forms.shape[0],
+        forms=tuple(map(tuple, forms.tolist())),
+        point_indices=tuple(np.flatnonzero(incidence).tolist()),
+    )
 
 
 @lru_cache(maxsize=None)
-def _subspaces(n: int, q: int, s: int, cap: int) -> tuple[Subspace, ...]:
-    gf = GF(q)
+def _subspaces(n: int, q: int, s: int, cap: int) -> tuple[tuple[Subspace, ...], np.ndarray]:
+    """The dimension-s subspaces in enumeration order and their
+    incidence matrix, row i holding the points of subspace i."""
     count = gaussian_binomial(n + 1, s + 1, q)
     if count > cap:
         raise BudgetExceeded(
@@ -91,7 +91,7 @@ def _subspaces(n: int, q: int, s: int, cap: int) -> tuple[Subspace, ...]:
         )
     rows_n = s + 1
     cols = n + 1
-    out = []
+    blocks = []
     for pivots in combinations(range(cols), rows_n):
         free = [
             (i, c)
@@ -99,16 +99,22 @@ def _subspaces(n: int, q: int, s: int, cap: int) -> tuple[Subspace, ...]:
             for c in range(cols)
             if c > pivots[i] and c not in pivots
         ]
-        for values in product(gf.elements(), repeat=len(free)):
-            basis = np.zeros((rows_n, cols), dtype=np.int64)
-            for i, p in enumerate(pivots):
-                basis[i, p] = 1
-            for (i, c), v in zip(free, values):
-                basis[i, c] = v
-            out.append(_subspace_from_basis(basis, n, gf))
-    if len(out) != count:
-        raise RuntimeError(f"expected {count} subspaces, built {len(out)}")
-    return tuple(out)
+        values = np.array(list(product(range(q), repeat=len(free))), dtype=np.int64)
+        # the kernel of an RREF basis, as nullspace() gives it: one form
+        # per non-pivot column fc, 1 at fc and -basis[r, fc] at pivot r
+        fcols = [c for c in range(cols) if c not in pivots]
+        forms = np.zeros((q ** len(free), len(fcols), cols), dtype=np.int64)
+        for a, fc in enumerate(fcols):
+            forms[:, a, fc] = 1
+        for k, (i, c) in enumerate(free):
+            forms[:, fcols.index(c), pivots[i]] = (-values[:, k]) % q
+        blocks.append(forms)
+    forms = np.concatenate(blocks)
+    if len(forms) != count:
+        raise RuntimeError(f"expected {count} subspaces, built {len(forms)}")
+    inc = _incidence(forms, n, q)
+    inc.flags.writeable = False  # cached: every caller shares it
+    return tuple(map(_subspace, forms, inc)), inc
 
 
 def enumerate_subspaces(
@@ -117,7 +123,7 @@ def enumerate_subspaces(
     """All projective dimension-s subspaces of P^n(GF(q)), each once."""
     if not 0 <= s <= n - 1:
         raise DomainError(f"subspace dimension s={s} outside [0, {n - 1}]")
-    return list(_subspaces(n, gf.q, s, cap))
+    return list(_subspaces(n, gf.q, s, cap)[0])
 
 
 def subspace_from_forms(forms, n: int, gf: GF) -> Subspace:
@@ -126,8 +132,8 @@ def subspace_from_forms(forms, n: int, gf: GF) -> Subspace:
     _, rank, _ = rref(fmat, gf)
     if rank != fmat.shape[0]:
         raise DomainError("defining forms are not linearly independent")
-    basis = nullspace(fmat, gf)
-    return _subspace_from_basis(basis, n, gf)
+    canonical = nullspace(nullspace(fmat, gf), gf)
+    return _subspace(canonical, _incidence(canonical, n, gf.q))
 
 
 # -- support predicates -------------------------------------------------------
@@ -135,48 +141,71 @@ def subspace_from_forms(forms, n: int, gf: GF) -> Subspace:
 
 def projective_support(f: Poly, n: int, gf: GF) -> tuple[int, ...]:
     """Indices of the standard points of P^n where f does not vanish."""
-    pts, _ = _proj_points(n, gf.q)
     if f.nvars != n + 1:
         raise DomainError(f"polynomial has {f.nvars} variables, expected {n + 1}")
-    return tuple(i for i, p in enumerate(pts) if f.evaluate(p))
+    return tuple(i for i, p in enumerate(_proj_points(n, gf.q).tolist()) if f.evaluate(p))
 
 
-def _support_mask(support) -> int:
-    mask = 0
-    for i in support:
-        mask |= 1 << int(i)
-    return mask
+def _support_rows(supports, n: int, q: int) -> np.ndarray:
+    """One 0/1 row per support over the points of P^n, as float32: meet
+    sizes are at most N <= POINT_ENUM_CAP = 2^24, which float32 holds
+    exactly, and its matrix product is the fast one."""
+    supports = [tuple(sup) for sup in supports]
+    lengths = [len(sup) for sup in supports]
+    npts = projective_size(n, q)
+    cols = np.fromiter(chain.from_iterable(supports), dtype=np.int64, count=sum(lengths))
+    if cols.size and not 0 <= cols.min() <= cols.max() < npts:
+        raise DomainError(f"support index outside [0, {npts - 1}]")
+    rows = np.zeros((len(supports), npts), dtype=np.float32)
+    rows[np.repeat(np.arange(len(supports)), lengths), cols] = 1
+    return rows
+
+
+def _meets(rows: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """meets[i, j] = |support i & subspace j|."""
+    return rows @ inc.T.astype(np.float32)
+
+
+def _first_avoiders(rows: np.ndarray, n: int, q: int, r: int, cap: int) -> list[Subspace | None]:
+    if not 0 <= r <= n - 1:
+        raise DomainError(f"subspace dimension r={r} outside [0, {n - 1}]")
+    if not rows.any(axis=1).all():
+        raise DomainError("support is empty")
+    subs, inc = _subspaces(n, q, r, cap)
+    avoids = _meets(rows, inc) == 0
+    first = avoids.argmax(axis=1).tolist()
+    return [subs[j] if avoids[i, j] else None for i, j in enumerate(first)]
 
 
 def find_avoiding_subspace(
-    support, n: int, gf: GF, r: int, cap: int = SUBSPACE_ENUM_CAP
-) -> Subspace | None:
-    """First dimension-r subspace (enumeration order) disjoint from the
-    support, or None if every one meets it."""
-    if not 0 <= r <= n - 1:
-        raise DomainError(f"subspace dimension r={r} outside [0, {n - 1}]")
-    smask = _support_mask(support)
-    if smask == 0:
-        raise DomainError("support is empty")
-    for sub in _subspaces(n, gf.q, r, cap):
-        if sub.mask & smask == 0:
-            return sub
-    return None
+    supports, n: int, gf: GF, r: int, cap: int = SUBSPACE_ENUM_CAP
+) -> list[Subspace | None]:
+    """For each support of the batch, the first dimension-r subspace
+    (enumeration order) disjoint from it, or None if every one meets it."""
+    return _first_avoiders(_support_rows(supports, n, gf.q), n, gf.q, r, cap)
 
 
 def find_avoiding_subspace_at_least(
-    support, n: int, gf: GF, rmin: int, cap: int = SUBSPACE_ENUM_CAP
-) -> Subspace | None:
-    """Highest-dimensional avoiding subspace with dimension >= rmin."""
+    supports, n: int, gf: GF, rmin: int, cap: int = SUBSPACE_ENUM_CAP
+) -> list[Subspace | None]:
+    """For each support of the batch, the first avoiding subspace of the
+    highest dimension >= rmin that has one, or None."""
+    rows = _support_rows(supports, n, gf.q)
+    found: list[Subspace | None] = [None] * len(rows)
+    pending = np.arange(len(rows))
     for r in range(n - 1, rmin - 1, -1):
-        sub = find_avoiding_subspace(support, n, gf, r, cap)
-        if sub is not None:
-            return sub
-    return None
+        if not pending.size:
+            break
+        hits = _first_avoiders(rows[pending], n, gf.q, r, cap)
+        for i, sub in zip(pending.tolist(), hits):
+            found[i] = sub
+        pending = pending[[sub is None for sub in hits]]
+    return found
 
 
 @dataclass(frozen=True)
 class BoundViolation:
+    row: int
     s: int
     subspace: Subspace
     meet_size: int
@@ -184,26 +213,36 @@ class BoundViolation:
 
 
 def check_subspace_bounds(
-    support, params: CodeParams, dims=None, cap: int = SUBSPACE_ENUM_CAP
+    supports, params: CodeParams, dims=None, cap: int = SUBSPACE_ENUM_CAP
 ) -> list[BoundViolation]:
     """Verify the intersection lower bound on every linear subspace:
     a support either misses a subspace or meets it in at least the
     minimum weight of the projective code of that dimension.  Returns
-    the violations (expected empty for true codeword supports)."""
+    the violations of the whole batch (expected empty for true codeword
+    supports), ordered by ``row``, the support's place in the batch,
+    then by dimension and enumeration order."""
     n, q, d = params.n, params.q, params.d
     if d < 2:
         raise DomainError(f"subspace bounds need d >= 2, got d={d}")
-    smask = _support_mask(support)
-    dims = range(1, n) if dims is None else dims
-    violations = []
+    dims = list(range(1, n) if dims is None else dims)
     for s in dims:
         if not 0 <= s <= n - 1:
             raise DomainError(f"subspace dimension s={s} outside [0, {n - 1}]")
+    rows = _support_rows(supports, n, q)
+    violations = []
+    for s in dims:
         required = w1_prm(s, d, q)
-        for sub in _subspaces(n, q, s, cap):
-            meet = (sub.mask & smask).bit_count()
-            if 0 < meet < required:
-                violations.append(BoundViolation(s, sub, meet, required))
+        subs, inc = _subspaces(n, q, s, cap)
+        meets = _meets(rows, inc)
+        hit, sub = np.nonzero((meets > 0) & (meets < required))
+        sizes = meets[hit, sub].astype(np.int64).tolist()
+        # one meet matrix at a time: it is supports x subspaces
+        del meets
+        violations += [
+            BoundViolation(i, s, subs[j], m, required)
+            for i, j, m in zip(hit.tolist(), sub.tolist(), sizes)
+        ]
+    violations.sort(key=lambda v: v.row)
     return violations
 
 
@@ -221,20 +260,16 @@ def zero_set_is_hyperplane_union(f: Poly, n: int, gf: GF) -> HyperplaneCover:
     """Whether the zero set of f equals the union of all hyperplanes it
     contains.  The certificate is that hyperplane list; on failure the
     uncovered zero points are reported."""
-    support = projective_support(f, n, gf)
+    support = list(projective_support(f, n, gf))
     if not support:
         raise DomainError("polynomial vanishes everywhere")
-    smask = _support_mask(support)
-    npts = projective_size(n, gf.q)
-    zmask = ((1 << npts) - 1) ^ smask
-    contained = tuple(
-        h for h in _subspaces(n, gf.q, n - 1, SUBSPACE_ENUM_CAP) if h.mask & smask == 0
-    )
-    union = 0
-    for h in contained:
-        union |= h.mask
-    uncovered = tuple(i for i in range(npts) if (zmask >> i) & 1 and not (union >> i) & 1)
-    return HyperplaneCover(union == zmask, contained, uncovered)
+    hyperplanes, inc = _subspaces(n, gf.q, n - 1, SUBSPACE_ENUM_CAP)
+    contained = ~inc[:, support].any(axis=1)
+    covered = inc[contained].any(axis=0)
+    covered[support] = True
+    uncovered = tuple(np.flatnonzero(~covered).tolist())
+    hyperplanes = tuple(h for h, c in zip(hyperplanes, contained.tolist()) if c)
+    return HyperplaneCover(not uncovered, hyperplanes, uncovered)
 
 
 # -- dehomogenization onto a chart ----------------------------------------------
@@ -286,9 +321,7 @@ def dehomogenize_on_chart(f: Poly, hyperplane: Subspace) -> Poly:
         raise DomainError("chart reduction requires a homogeneous polynomial")
     if hyperplane.dim != n - 1 or len(hyperplane.forms) != 1:
         raise DomainError("chart requires a hyperplane (codimension 1)")
-    support = projective_support(f, n, gf)
-    smask = _support_mask(support)
-    if smask & hyperplane.mask:
+    if not set(hyperplane.point_indices).isdisjoint(projective_support(f, n, gf)):
         raise DomainError("support of f meets the hyperplane; chart undefined")
     h = np.array([hyperplane.forms[0]], dtype=np.int64)
     r_mat = _complete_to_invertible(h, gf)

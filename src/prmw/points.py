@@ -77,7 +77,3 @@ def standardize(vec: Point, gf: GF) -> Point:
             return tuple(gf.mul(s, x) for x in vec)
     raise DomainError("zero vector has no projective representative")
 
-
-def point_index(points: list[Point]) -> dict[Point, int]:
-    """Lookup table from point to its canonical column index."""
-    return {p: i for i, p in enumerate(points)}

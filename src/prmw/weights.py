@@ -56,7 +56,7 @@ from math import comb
 
 import numpy as np
 
-from .codes import Code, nullspace
+from .codes import Code, nullspace, pack_bits
 from .errors import BudgetExceeded, DomainError
 
 DEFAULT_BUDGET = 1 << 32
@@ -206,46 +206,28 @@ def _support_of_message(code: Code, m: int) -> tuple[int, ...]:
 # -- q = 2 -------------------------------------------------------------------
 
 
-def _pack_gen(gen: np.ndarray) -> list[int]:
-    """Each generator row as an int, bit j set where column j is 1."""
-    rows = []
-    for row in gen:
-        x = 0
-        for j, v in enumerate(row):
-            if v:
-                x |= 1 << int(j)
-        rows.append(x)
-    return rows
-
-
-def _low_table(rows: list[int], bbits: int, nwords: int) -> np.ndarray:
+def _low_table(rows: np.ndarray, bbits: int) -> np.ndarray:
     """table[m] = packed codeword of message m over the first bbits rows."""
-    table = np.zeros((1 << bbits, nwords), dtype=np.uint64)
+    table = np.zeros((1 << bbits, rows.shape[1]), dtype=np.uint64)
     for j in range(bbits):
-        words = [(rows[j] >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(nwords)]
-        table[1 << j : 2 << j] = table[: 1 << j] ^ np.array(words, dtype=np.uint64)
+        table[1 << j : 2 << j] = table[: 1 << j] ^ rows[j]
     return table
 
 
-def _block_weights(rows: list[int], table: np.ndarray, bbits: int, h: int) -> np.ndarray:
+def _block_weights(rows: np.ndarray, table: np.ndarray, bbits: int, h: int) -> np.ndarray:
     """Weights of the messages h*2^bbits + i, i = 0..2^bbits - 1."""
-    nwords = table.shape[1]
-    base = 0
+    base = np.zeros(table.shape[1], dtype=np.uint64)
     j = bbits
     while h:
         if h & 1:
             base ^= rows[j]
         h >>= 1
         j += 1
-    basew = np.array(
-        [(base >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(nwords)],
-        dtype=np.uint64,
-    )
-    return np.bitwise_count(table ^ basew).sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(table ^ base).sum(axis=1, dtype=np.int64)
 
 
 def _blocked_counts_range(
-    rows: list[int], length: int, table: np.ndarray, bbits: int, h_lo: int, h_hi: int
+    rows: np.ndarray, length: int, table: np.ndarray, bbits: int, h_lo: int, h_hi: int
 ) -> np.ndarray:
     """Counts for the contiguous message range [h_lo*2^b, h_hi*2^b)."""
     counts = np.zeros(length + 1, dtype=np.int64)
@@ -255,10 +237,10 @@ def _blocked_counts_range(
 
 
 def _counts_q2(gen: np.ndarray, threads: int) -> tuple[np.ndarray, int]:
-    rows = _pack_gen(gen)
+    rows = pack_bits(gen)
     dim, length = gen.shape
     bbits = min(dim, _BLOCK_BITS)
-    table = _low_table(rows, bbits, (length + 63) // 64)
+    table = _low_table(rows, bbits)
     parts = _partition(1 << (dim - bbits), threads)
     if threads <= 1:
         partials = [
@@ -284,10 +266,10 @@ def _partition(nblocks: int, threads: int) -> list[tuple[int, int]]:
 
 
 def _witnesses_q2(gen: np.ndarray, targets: list[int]) -> dict[int, list[int]]:
-    rows = _pack_gen(gen)
-    dim, length = gen.shape
+    rows = pack_bits(gen)
+    dim = gen.shape[0]
     bbits = min(dim, _BLOCK_BITS)
-    table = _low_table(rows, bbits, (length + 63) // 64)
+    table = _low_table(rows, bbits)
     pool: dict[int, list[int]] = {t: [] for t in targets}
     # ascending message order, so the first K hits per weight are the
     # smallest; stops as soon as every target is filled

@@ -127,7 +127,7 @@ def test_criterion_6_subspace_bound_suite():
         _, supports = all_nonzero_codeword_supports(code)
         bad = 0
         for support in supports:
-            bad += len(check_subspace_bounds(support, code.params, dims=(1, 2)))
+            bad += len(check_subspace_bounds([support], code.params, dims=(1, 2)))
         if bad:
             failures.append(f"PRM(3,{d}): {bad} intersection-bound violations")
     report_line(6, "intersection bounds hold on every codeword of PRM(3,2), PRM(3,3)", failures)
@@ -140,14 +140,14 @@ def test_criterion_7_avoiding_subspace_conclusions():
     no_hyperplane = sum(
         1
         for s in supports
-        if len(s) < 6 and find_avoiding_subspace(s, 3, gf2, 2) is None
+        if len(s) < 6 and find_avoiding_subspace([s], 3, gf2, 2)[0] is None
     )
     if no_hyperplane:
         failures.append(f"{no_hyperplane} codewords of weight < 6 without avoiding hyperplane")
     no_subspace = sum(
         1
         for s in supports
-        if len(s) <= 6 and find_avoiding_subspace_at_least(s, 3, gf2, 0) is None
+        if len(s) <= 6 and find_avoiding_subspace_at_least([s], 3, gf2, 0)[0] is None
     )
     if no_subspace:
         failures.append(f"{no_subspace} codewords of weight <= 6 without avoiding subspace")

@@ -40,6 +40,13 @@ class TestTable:
         assert code == 0
         assert all(r["match"] == "true" for r in json.loads(out))
 
+    def test_match_blank_where_nothing_asserted(self, capsys):
+        # RM(n, 0) and PRM(n, 1) have no closed form to agree with
+        for family, d, asserted in [("rm", "0..1", [False, True]), ("prm", "1..2", [False, True])]:
+            code, out = run_cli(capsys, "table", "--family", family, "--q", "2", "--n", "2", "--d", d, "--format", "json")
+            assert code == 0
+            assert [r["match"] for r in json.loads(out)] == ["true" if a else "" for a in asserted]
+
     def test_csv_columns_documented(self, capsys):
         code, out = run_cli(capsys, "table", "--family", "rm", "--q", "2", "--n", "2", "--d", "1", "--format", "csv")
         assert code == 0
@@ -89,6 +96,13 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["status"] == "budget"
         assert "needs budget" in doc["checks"][0]["detail"]
+
+    def test_out_of_range_d_is_configuration_error(self, capsys):
+        # RM(1, d) over GF(3) needs 0 <= d <= 2: exit 2 before any instance runs
+        code = main(["verify", "--family", "rm", "--q", "3", "--n", "1", "--d", "0..4", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "d=3 outside [0, 2]" in captured.err
 
     def test_env_budget_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PRMW_BUDGET", "2048")

@@ -20,6 +20,7 @@ from prmw.codes import (
     homogeneous_monomials,
     invert_matrix,
     nullspace,
+    pack_bits,
     rm_monomials,
 )
 from prmw.points import POINT_ORDER_VERSION
@@ -214,6 +215,31 @@ class TestSerialization:
         code = build(CodeParams("prm", 2, 6, 2))  # length 127, two words per row
         _, rows = bitdump_to_rows(code_to_bitdump(code))
         assert rows == code.gen.tolist()
+
+    @pytest.mark.parametrize(
+        "family,n,d", [("prm", 2, 2), ("rm", 6, 2), ("prm", 6, 2), ("rm", 7, 2), ("prm", 7, 3)]
+    )
+    def test_bitdump_bytes_match_per_cell_packing(self, family, n, d):
+        # lengths 7, 64, 127, 128, 255: one word, exactly one, a partial
+        # second, exactly two, and a partial fourth
+        code = build(CodeParams(family, 2, n, d))
+        words = (code.length + 63) // 64
+        body = b"".join(
+            sum(1 << j for j, v in enumerate(row) if v).to_bytes(8 * words, "little")
+            for row in code.gen.tolist()
+        )
+        blob = code_to_bitdump(code)
+        assert blob[blob.index(b"\n") + 1 :] == body
+
+    def test_pack_bits_words(self):
+        rng = np.random.default_rng(3)
+        for rows, length in [(5, 130), (1, 1), (3, 64), (0, 70)]:
+            gen = rng.integers(0, 2, size=(rows, length))
+            words = pack_bits(gen)
+            assert words.shape == (rows, (length + 63) // 64)
+            for row, packed in zip(gen.tolist(), words.tolist()):
+                x = sum(1 << j for j, v in enumerate(row) if v)
+                assert packed == [(x >> (64 * w)) & (2**64 - 1) for w in range(len(packed))]
 
     def test_bitdump_requires_gf2(self):
         code = build(CodeParams("prm", 3, 2, 2))

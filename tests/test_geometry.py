@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 from prmw import (
@@ -24,6 +25,7 @@ from prmw import (
     w1_prm,
     zero_set_is_hyperplane_union,
 )
+from prmw.geometry import BoundViolation
 
 gf2 = GF(2)
 gf3 = GF(3)
@@ -45,7 +47,7 @@ class TestEnumeration:
     def test_count_matches_gaussian_binomial(self, n, s, q):
         subs = enumerate_subspaces(n, GF(q), s)
         assert len(subs) == gaussian_binomial(n + 1, s + 1, q)
-        assert len({sub.mask for sub in subs}) == len(subs)
+        assert len({sub.point_indices for sub in subs}) == len(subs)
 
     @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3)])
     def test_hyperplane_point_duality(self, n, q):
@@ -86,7 +88,7 @@ class TestAvoidingSubspace:
         support = projective_support(f, 2, gf2)
         pts = projective_points(2, gf2)
         assert [pts[i] for i in support] == [(1, 1, 0), (1, 1, 1)]
-        found = find_avoiding_subspace(support, 2, gf2, 1)
+        found = find_avoiding_subspace([support], 2, gf2, 1)[0]
         assert found is not None
         assert not set(found.point_indices) & set(support)
         # the hyperplane X0 = 0 avoids it as well
@@ -95,32 +97,31 @@ class TestAvoidingSubspace:
 
     def test_whole_space_has_no_avoider(self):
         support = range(len(projective_points(2, gf2)))
-        assert find_avoiding_subspace(support, 2, gf2, 1) is None
+        assert find_avoiding_subspace([support], 2, gf2, 1)[0] is None
 
     def test_quadric_line(self):
         f = parse_poly("X0*X3+X1*X2", 4, gf2)
         support = projective_support(f, 3, gf2)
-        found = find_avoiding_subspace(support, 3, gf2, 1)
+        found = find_avoiding_subspace([support], 3, gf2, 1)[0]
         assert found is not None and found.dim == 1
         # the specific line X0 = X1 = 0 avoids the support
         line = subspace_from_forms([(1, 0, 0, 0), (0, 1, 0, 0)], 3, gf2)
         assert not set(line.point_indices) & set(support)
         # but no hyperplane does
-        assert find_avoiding_subspace(support, 3, gf2, 2) is None
-        best = find_avoiding_subspace_at_least(support, 3, gf2, 0)
+        assert find_avoiding_subspace([support], 3, gf2, 2)[0] is None
+        best = find_avoiding_subspace_at_least([support], 3, gf2, 0)[0]
         assert best.dim == 1
 
     def test_empty_support_rejected(self):
         with pytest.raises(DomainError):
-            find_avoiding_subspace([], 2, gf2, 1)
+            find_avoiding_subspace([[]], 2, gf2, 1)
 
     def test_first_in_enumeration_order(self):
         f = parse_poly("X0*X1", 3, gf2)
         support = projective_support(f, 2, gf2)
         subs = enumerate_subspaces(2, gf2, 1)
-        smask = sum(1 << i for i in support)
-        first = next(s for s in subs if not s.mask & smask)
-        assert find_avoiding_subspace(support, 2, gf2, 1) == first
+        first = next(s for s in subs if not set(s.point_indices) & set(support))
+        assert find_avoiding_subspace([support], 2, gf2, 1)[0] == first
 
 
 class TestSubspaceBounds:
@@ -128,23 +129,23 @@ class TestSubspaceBounds:
         code = build(CodeParams("prm", 2, 2, 2))
         for msg in nonzero_messages(code.dimension, 2):
             support = codeword_support(code, msg)
-            assert check_subspace_bounds(support, code.params, dims=[1]) == []
+            assert check_subspace_bounds([support], code.params, dims=[1]) == []
 
     def test_quadric_codeword(self):
         f = parse_poly("X0*X3+X1*X2", 4, gf2)
         support = projective_support(f, 3, gf2)
-        assert check_subspace_bounds(support, CodeParams("prm", 2, 3, 2)) == []
+        assert check_subspace_bounds([support], CodeParams("prm", 2, 3, 2)) == []
 
     def test_adversarial_single_point(self):
         # one point meets some plane in exactly 1 < W1_PRM(2, 2) = 2
         params = CodeParams("prm", 2, 3, 2)
         assert w1_prm(2, 2, 2) == 2
-        violations = check_subspace_bounds([0], params, dims=[2])
+        violations = check_subspace_bounds([[0]], params, dims=[2])
         assert violations and all(v.meet_size == 1 and v.required == 2 for v in violations)
 
     def test_requires_projective_order(self):
         with pytest.raises(DomainError):
-            check_subspace_bounds([0], CodeParams("prm", 2, 3, 1))
+            check_subspace_bounds([[0]], CodeParams("prm", 2, 3, 1))
 
 
 class TestHyperplaneUnion:
@@ -214,7 +215,7 @@ class TestDehomogenize:
             support = codeword_support(code, msg)
             if not support:
                 continue
-            h = find_avoiding_subspace(support, n, gf, n - 1)
+            h = find_avoiding_subspace([support], n, gf, n - 1)[0]
             if h is None:
                 continue
             f = code.poly_for_message(msg)
@@ -256,3 +257,104 @@ class TestSupportExtraction:
         for msg in [(1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1), (1, 1, 1, 1, 1, 1)]:
             f = code.poly_for_message(msg)
             assert tuple(projective_support(f, 2, gf2)) == codeword_support(code, msg)
+
+
+# -- batched predicates against a per-support reference ------------------------
+
+
+def reference_violations(support, params, dims):
+    """The violations of one support, by plain set intersection."""
+    out = []
+    for s in dims:
+        required = w1_prm(s, params.d, params.q)
+        for sub in enumerate_subspaces(params.n, GF(params.q), s):
+            meet = len(set(sub.point_indices) & set(support))
+            if 0 < meet < required:
+                out.append((s, sub, meet, required))
+    return out
+
+
+def reference_avoider(support, n, gf, r):
+    subs = enumerate_subspaces(n, gf, r)
+    return next((sub for sub in subs if not set(sub.point_indices) & set(support)), None)
+
+
+def reference_avoider_at_least(support, n, gf, rmin):
+    for r in range(n - 1, rmin - 1, -1):
+        sub = reference_avoider(support, n, gf, r)
+        if sub is not None:
+            return sub
+    return None
+
+
+def random_supports(npts, count, seed):
+    """Nonempty supports of every size from a single point to all points,
+    codeword-like or not."""
+    rng = np.random.default_rng(seed)
+    out = [(0,), tuple(range(npts))]
+    for _ in range(count):
+        size = int(rng.integers(1, npts + 1))
+        out.append(tuple(sorted(rng.choice(npts, size=size, replace=False).tolist())))
+    return out
+
+
+class TestBatchedPredicates:
+    @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2)])
+    def test_match_per_support_reference(self, q, n):
+        gf = GF(q)
+        batch = random_supports(len(projective_points(n, gf)), 30, seed=q * 10 + n)
+        for d in (2, 3):
+            params = CodeParams("prm", q, n, d)
+            dims = range(1, n) if n > 2 else [1]
+            expected = [
+                BoundViolation(row, *v)
+                for row, support in enumerate(batch)
+                for v in reference_violations(support, params, dims)
+            ]
+            assert check_subspace_bounds(batch, params) == expected
+        for r in range(n):
+            assert find_avoiding_subspace(batch, n, gf, r) == [
+                reference_avoider(sup, n, gf, r) for sup in batch
+            ]
+            assert find_avoiding_subspace_at_least(batch, n, gf, r) == [
+                reference_avoider_at_least(sup, n, gf, r) for sup in batch
+            ]
+
+    def test_codeword_batch_matches_reference(self):
+        code = build(CodeParams("prm", 3, 2, 2))
+        batch = [codeword_support(code, m) for m in nonzero_messages(code.dimension, 3)]
+        assert check_subspace_bounds(batch, code.params) == []
+        assert find_avoiding_subspace(batch, 2, gf3, 1) == [
+            reference_avoider(sup, 2, gf3, 1) for sup in batch
+        ]
+
+    def test_planted_violations(self):
+        # a point meets the 7 planes of P^3(GF(2)) through it in 1 < 2
+        # points; two points meet the 4 + 4 planes through only one of them
+        code = build(CodeParams("prm", 2, 3, 2))
+        good = [codeword_support(code, (1,) + (0,) * 9), codeword_support(code, (0, 1) + (0,) * 8)]
+        batch = [good[0], (0,), good[1], (0, 1)]
+        violations = check_subspace_bounds(batch, code.params, dims=[2])
+        assert [v.row for v in violations] == [1] * 7 + [3] * 8
+        assert all(v.s == 2 and v.meet_size == 1 and v.required == 2 for v in violations)
+        assert all(set(v.subspace.point_indices) & set(batch[v.row]) for v in violations)
+
+    def test_empty_batch(self):
+        params = CodeParams("prm", 2, 3, 2)
+        assert check_subspace_bounds([], params) == []
+        assert find_avoiding_subspace([], 3, gf2, 2) == []
+        assert find_avoiding_subspace_at_least([], 3, gf2, 0) == []
+
+    def test_empty_support_in_batch_rejected(self):
+        with pytest.raises(DomainError):
+            find_avoiding_subspace([(0,), ()], 2, gf2, 1)
+        with pytest.raises(DomainError):
+            find_avoiding_subspace_at_least([(0,), ()], 2, gf2, 0)
+
+    def test_support_index_out_of_range_rejected(self):
+        params = CodeParams("prm", 2, 2, 2)
+        for bad in [(7,), (-1,)]:
+            with pytest.raises(DomainError):
+                check_subspace_bounds([(0,), bad], params)
+            with pytest.raises(DomainError):
+                find_avoiding_subspace([bad], 2, gf2, 1)

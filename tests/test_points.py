@@ -1,7 +1,7 @@
 import pytest
 
 from prmw import GF, BudgetExceeded, DomainError, affine_points, projective_points, standardize
-from prmw.points import POINT_ORDER_VERSION, affine_size, point_index, projective_size
+from prmw.points import POINT_ORDER_VERSION, affine_size, projective_size
 
 GRID = [(n, q) for q in (2, 3, 5) for n in (1, 2, 3)]
 
@@ -84,12 +84,6 @@ def test_dimension_validation():
 def test_standardize_zero_vector():
     with pytest.raises(DomainError):
         standardize((0, 0, 0), GF(3))
-
-
-def test_point_index_round_trip():
-    pts = projective_points(3, GF(2))
-    idx = point_index(pts)
-    assert all(pts[idx[p]] == p for p in pts)
 
 
 def test_order_contract_version_present():

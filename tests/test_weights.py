@@ -14,7 +14,8 @@ from prmw import (
     weight_report,
 )
 import prmw.weights as W
-from prmw.weights import _blocked_counts_range, _low_table, _pack_gen
+from prmw.codes import pack_bits
+from prmw.weights import _blocked_counts_range, _low_table
 
 
 @pytest.fixture
@@ -151,9 +152,9 @@ class TestEnumerationPaths:
 
     def test_partition_merge_schedule_independent(self):
         code = build(CodeParams("prm", 2, 3, 3))
-        rows = _pack_gen(code.gen)
+        rows = pack_bits(code.gen)
         bbits = 4
-        table = _low_table(rows, bbits, 1)
+        table = _low_table(rows, bbits)
         nblocks = 1 << (len(rows) - bbits)
         parts = [(i, i + 1) for i in range(nblocks)]
         rng = np.random.default_rng(1)
