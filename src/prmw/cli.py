@@ -13,8 +13,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import islice, product
 from math import ceil
+
+import numpy as np
 
 from .codes import PRM, RM, CodeParams, build
 from .errors import BudgetExceeded, DomainError
@@ -239,9 +240,10 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
     gf = GF(cfg.q)
     exhaustive = cfg.q**rep.dimension <= EXHAUSTIVE_GEOMETRY_LIMIT
     if exhaustive:
-        # every message but the first, the zero one
-        messages = islice(product(range(cfg.q), repeat=rep.dimension), 1, None)
-        supports = [codeword_support(code, m) for m in messages]
+        # every message in itertools.product order (last digit fastest)
+        # but the first, the zero one
+        messages = np.indices((cfg.q,) * rep.dimension).reshape(rep.dimension, -1).T[1:]
+        supports = codeword_support(code, messages)
         scope = f"all {len(supports)} nonzero codewords"
     else:
         supports = [w.support for w in rep.witnesses]

@@ -1,13 +1,21 @@
 """Generator matrices for RM(n,d) and PRM(n,d) over GF(q).
 
 A code is built by evaluating a deterministic monomial list at the
-canonical point enumeration and row-reducing.  Dimension is always the
-numeric rank of the evaluation matrix; no closed dimension formula is
-assumed anywhere.  The vanishing-ideal quotients are realized as the row
-space (image) and the kernel of that matrix.
+canonical point enumeration and row-reducing.  The whole evaluation
+matrix (monomials x points) is one uint8 array, gathered from a power
+table one variable at a time; the rows are then eliminated greedily in
+monomial order.  Dimension is always the numeric rank of the evaluation
+matrix; no closed dimension formula is assumed anywhere.  The
+vanishing-ideal quotients are realized as the row space (image) and the
+kernel of that matrix.
 
 GF(q) linear algebra lives here too (rref, nullspace, inverse); matrices
 are small numpy int64 arrays with mod-q arithmetic.
+
+Serialization: ``code_to_json`` renders the generator rows in one array
+pass over a byte table of the residues, with the bytes ``json.dumps``
+would give; ``code_to_bitdump`` packs GF(2) rows into 64-bit words and
+``bitdump_to_rows`` unpacks them.
 """
 
 from __future__ import annotations
@@ -214,10 +222,8 @@ class Code:
                 f"message length {msg.shape} does not match dimension {self.dimension}"
             )
         if self._to_monomial_coeffs is None:
-            pts = np.array(self.points, dtype=np.int64)
-            raw = np.array(
-                [_evaluate_monomial(e, pts, gf.q) for e in self.basis_monomials],
-                dtype=np.int64,
+            raw = _evaluate_monomials(
+                self.basis_monomials, np.array(self.points, dtype=np.int64), gf.q
             )
             # gen = T raw with T the inverse of raw on the pivot columns,
             # so monomial coefficients for a message m are m T
@@ -227,15 +233,24 @@ class Code:
         return Poly(gf, nvars, dict(zip(self.basis_monomials, (int(c) for c in coeffs))))
 
 
-def _evaluate_monomial(exps: Expvec, pts: np.ndarray, q: int) -> np.ndarray:
-    # per-variable power tables keep everything reduced mod q (exponents
-    # can exceed what int64 x**e would tolerate)
-    row = np.ones(pts.shape[0], dtype=np.int64)
-    for i, e in enumerate(exps):
-        if e:
-            powtab = np.array([pow(x, e, q) for x in range(q)], dtype=np.int64)
-            row = (row * powtab[pts[:, i]]) % q
-    return row
+def _evaluate_monomials(exps: list[Expvec], pts: np.ndarray, q: int) -> np.ndarray:
+    """Row i is the monomial ``exps[i]`` evaluated at every point, mod q.
+
+    A power table ``x^e mod q`` keeps everything reduced (exponents can
+    exceed what int64 ``x**e`` would tolerate).  Per variable, its
+    columns at the points' coordinates give one slice, whose rows are
+    gathered by exponent into the monomials that use the variable;
+    residues <= 12 keep every product inside uint8."""
+    e = np.array(exps, dtype=np.int64).reshape(len(exps), pts.shape[1])
+    powtab = np.array(
+        [[pow(x, k, q) for x in range(q)] for k in range(int(e.max(initial=0)) + 1)],
+        dtype=np.uint8,
+    )
+    out = np.ones((e.shape[0], pts.shape[0]), dtype=np.uint8)
+    for i in range(pts.shape[1]):
+        rows = np.flatnonzero(e[:, i])
+        out[rows] = out[rows] * powtab[:, pts[:, i]][e[rows, i]] % q
+    return out
 
 
 def _build(params: CodeParams, monomials: list[Expvec], points: list[Point]) -> Code:
@@ -246,8 +261,9 @@ def _build(params: CodeParams, monomials: list[Expvec], points: list[Point]) -> 
     # grow the rank, so basis_monomials is an actual monomial subset
     kept_idx: list[int] = []
     reduced: list[tuple[int, np.ndarray]] = []  # (pivot col, normalized row)
-    for i, exps in enumerate(monomials):
-        row = _evaluate_monomial(exps, pts, q)
+    evaluated = _evaluate_monomials(monomials, pts, q)
+    for i, raw in enumerate(evaluated):
+        row = raw.astype(np.int64)
         for pc, prow in reduced:
             if row[pc]:
                 row = (row - row[pc] * prow) % q
@@ -305,7 +321,16 @@ def build(params: CodeParams) -> Code:
 
 
 def code_to_json(code: Code) -> str:
-    """Generator matrix as JSON, rows as residue arrays."""
+    """Generator matrix as JSON, rows as residue arrays.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))``.  ``rows`` sorts last, so it is rendered
+    apart and spliced in before the closing brace: every cell becomes
+    the 3 bytes ``b"%2d,"`` of its residue (one uint8 table lookup over
+    the whole matrix), each row's last comma becomes ``]`` after a
+    leading ``[``, and the pad spaces of one-digit residues are removed
+    at the end.
+    """
     p = code.params
     doc = {
         "family": p.family,
@@ -316,9 +341,23 @@ def code_to_json(code: Code) -> str:
         "dimension": code.dimension,
         "point_order": POINT_ORDER_VERSION,
         "basis_monomials": [list(e) for e in code.basis_monomials],
-        "rows": code.gen.tolist(),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return head[:-1] + ',"rows":' + _rows_json(code.gen, p.q) + "}"
+
+
+def _rows_json(gen: np.ndarray, q: int) -> str:
+    """``json.dumps(gen.tolist(), separators=(",", ":"))`` for a matrix
+    with at least one column and two-digit residues at most."""
+    cells = np.frombuffer(b"".join(b"%2d," % v for v in range(q)), dtype=np.uint8)
+    cells = cells.reshape(q, 3)
+    rows, length = gen.shape
+    text = np.empty((rows, 3 * length + 2), dtype=np.uint8)
+    text[:, 0] = ord("[")
+    text[:, 1:-1] = cells[gen].reshape(rows, 3 * length)
+    text[:, -2] = ord("]")
+    text[:, -1] = ord(",")
+    return "[" + text.tobytes()[:-1].replace(b" ", b"").decode("ascii") + "]"
 
 
 _BITDUMP_MAGIC = "prmw-bits1"
@@ -357,10 +396,6 @@ def bitdump_to_rows(blob: bytes) -> tuple[dict, list[list[int]]]:
     body = blob[nl + 1 :]
     if len(body) != rows_n * words_per_row * 8:
         raise DomainError("bitdump body has wrong size")
-    rows = []
-    for i in range(rows_n):
-        x = int.from_bytes(
-            body[i * words_per_row * 8 : (i + 1) * words_per_row * 8], "little"
-        )
-        rows.append([(x >> j) & 1 for j in range(cols)])
-    return meta, rows
+    words = np.frombuffer(body, dtype=np.uint8).reshape(rows_n, words_per_row * 8)
+    bits = np.unpackbits(words, axis=1, count=cols, bitorder="little")
+    return meta, bits.tolist()

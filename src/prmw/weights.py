@@ -44,6 +44,12 @@ Witnesses are canonical: the up-to-K codewords of each extreme weight
 whose message integers are smallest (message value sum_i m_i * q^i).
 They always come from the code itself, searched in ascending message
 order so the search stops once every extreme weight has K.
+
+Supports are collected a batch at a time: ``codeword_support`` takes a
+matrix of messages, one per row, and returns one support per row from
+a single product with the generator.  A report makes one such call for
+all its witnesses, and ``verify`` one for every nonzero message of an
+exhaustive instance.
 """
 
 from __future__ import annotations
@@ -88,15 +94,24 @@ class WeightReport:
     elapsed_ms: int
 
 
-def codeword_support(code: Code, message) -> tuple[int, ...]:
-    """Indices (canonical point order) where the codeword is nonzero."""
-    msg = np.asarray(message, dtype=np.int64)
-    if msg.shape != (code.dimension,):
+def codeword_support(code: Code, messages) -> list[tuple[int, ...]]:
+    """Indices (canonical point order) where each codeword is nonzero.
+
+    ``messages`` is a batch, one message per row (a single message is a
+    1-element batch); the result has one ascending support tuple per
+    row, in row order.  The whole batch is one ``(msgs @ gen) % q``
+    product and one ``np.nonzero``, whose column indices are split into
+    the rows' tuples.
+    """
+    msgs = np.asarray(messages, dtype=np.int64)
+    if msgs.ndim != 2 or msgs.shape[1] != code.dimension:
         raise DomainError(
-            f"message length {msg.shape} does not match dimension {code.dimension}"
+            f"messages of shape {msgs.shape} are not rows of length {code.dimension}"
         )
-    cw = (msg @ code.gen) % code.params.q
-    return tuple(int(i) for i in np.nonzero(cw)[0])
+    nonzero = (msgs @ code.gen) % code.params.q != 0
+    ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
+    cols = np.nonzero(nonzero)[1].tolist()
+    return [tuple(cols[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def weight_report(code: Code, budget: int | None = None, threads: int = 1) -> WeightReport:
@@ -136,11 +151,9 @@ def weight_report(code: Code, budget: int | None = None, threads: int = 1) -> We
         pool = _witnesses_q2(code.gen, targets)
     else:
         pool = _witnesses_qp(code.gen, q, targets)
-    witnesses = [
-        Witness(_unpack_message(m, dim, q), _support_of_message(code, m))
-        for w in targets
-        for m in pool[w]
-    ]
+    messages = [_unpack_message(m, dim, q) for w in targets for m in pool[w]]
+    supports = codeword_support(code, messages)
+    witnesses = [Witness(m, sup) for m, sup in zip(messages, supports)]
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return WeightReport(
         params=code.params,
@@ -197,10 +210,6 @@ def _unpack_message(m: int, dim: int, q: int) -> tuple[int, ...]:
         m, r = divmod(m, q)
         out.append(r)
     return tuple(out)
-
-
-def _support_of_message(code: Code, m: int) -> tuple[int, ...]:
-    return codeword_support(code, _unpack_message(m, code.dimension, code.params.q))
 
 
 # -- q = 2 -------------------------------------------------------------------

@@ -16,6 +16,7 @@ from prmw import (
     CodeParams,
     build,
     check_subspace_bounds,
+    codeword_support,
     find_avoiding_subspace,
     find_avoiding_subspace_at_least,
     lift_affine,
@@ -52,8 +53,7 @@ def all_nonzero_codeword_supports(code):
     for j in range(dim):
         msgs[:, j] = rem % q
         rem //= q
-    cws = (msgs @ code.gen) % q
-    return msgs[1:], [tuple(int(i) for i in np.nonzero(c)[0]) for c in cws[1:]]
+    return msgs[1:], codeword_support(code, msgs[1:])
 
 
 def test_criterion_1_binary_prm_grid(reports):

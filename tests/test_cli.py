@@ -141,6 +141,25 @@ class TestVerify:
         (bounds,) = [c for c in json.loads(out)["checks"] if c["check"] == "intersection_bounds"]
         assert bounds["elapsed_ms"] >= 50
 
+    def test_one_support_call_per_exhaustive_instance(self, capsys, monkeypatch):
+        # PRM(3,2) and PRM(3,3) over GF(2) walk all their nonzero
+        # codewords; each collects them in one batched call
+        import prmw.cli as cli_mod
+
+        real = cli_mod.codeword_support
+        batches = []
+
+        def counted(code, messages):
+            batches.append(len(messages))
+            return real(code, messages)
+
+        monkeypatch.setattr(cli_mod, "codeword_support", counted)
+        code, out = run_cli(capsys, "verify", "--q", "2", "--n", "3", "--d", "2..3", "--format", "json")
+        assert code == 0
+        scopes = [c["detail"] for c in json.loads(out)["checks"] if c["check"] == "intersection_bounds"]
+        assert scopes == [f"all {b} nonzero codewords, dims 1..2, 0 violations" for b in batches]
+        assert batches == [2**10 - 1, 2**14 - 1]
+
 
 class TestWitness:
     def test_quadric_p3(self, capsys):

@@ -7,6 +7,7 @@ from prmw import (
     GF,
     CodeParams,
     DomainError,
+    affine_points,
     build,
     build_prm,
     build_rm,
@@ -16,6 +17,8 @@ from prmw import (
     rref,
 )
 from prmw.codes import (
+    Code,
+    _evaluate_monomials,
     bitdump_to_rows,
     homogeneous_monomials,
     invert_matrix,
@@ -23,6 +26,7 @@ from prmw.codes import (
     pack_bits,
     rm_monomials,
 )
+from prmw.gfp import SUPPORTED_PRIMES
 from prmw.points import POINT_ORDER_VERSION
 
 
@@ -137,6 +141,18 @@ def span_size(code):
     return len(seen)
 
 
+class TestEvaluateMonomials:
+    @pytest.mark.parametrize("family,q,n,d", [("rm", 13, 2, 24), ("prm", 5, 2, 9), ("prm", 2, 3, 4)])
+    def test_matches_pointwise_powers(self, family, q, n, d):
+        # exponents up to 12 and degree above q, against x^e mod q per cell
+        monos = rm_monomials(n, d, q) if family == "rm" else homogeneous_monomials(n + 1, d)
+        pts = affine_points(n, GF(q)) if family == "rm" else projective_points(n, GF(q))
+        got = _evaluate_monomials(monos, np.array(pts, dtype=np.int64), q)
+        assert got.dtype == np.uint8
+        expected = [[int(np.prod([pow(x, e, q) for x, e in zip(p, m)])) % q for p in pts] for m in monos]
+        assert got.tolist() == expected
+
+
 class TestBuildPrm:
     def test_prm_2_2_gf2(self):
         code = build_prm(CodeParams("prm", 2, 2, 2))
@@ -245,6 +261,29 @@ class TestSerialization:
         code = build(CodeParams("prm", 3, 2, 2))
         with pytest.raises(DomainError):
             code_to_bitdump(code)
+
+    @pytest.mark.parametrize("q", SUPPORTED_PRIMES)
+    def test_json_matches_json_dumps(self, q):
+        # one- and two-digit cells, a 1xN and a kx1 matrix beside the
+        # code's own generator
+        code = build(CodeParams("prm", q, 2, 3))
+        rng = np.random.default_rng(q)
+        gens = [code.gen, rng.integers(0, q, size=(1, 40)), rng.integers(0, q, size=(9, 1))]
+        gens.append(np.arange(q).reshape(1, q))
+        for gen in gens:
+            other = Code(code.params, gen, code.basis_monomials, code.points, code.pivots)
+            doc = {
+                "family": "prm",
+                "q": q,
+                "n": 2,
+                "d": 3,
+                "length": gen.shape[1],
+                "dimension": gen.shape[0],
+                "point_order": POINT_ORDER_VERSION,
+                "basis_monomials": [list(e) for e in code.basis_monomials],
+                "rows": gen.tolist(),
+            }
+            assert code_to_json(other) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def test_json_deterministic(self):
         code1 = build(CodeParams("rm", 3, 2, 2))

@@ -128,7 +128,7 @@ class TestSubspaceBounds:
     def test_all_codewords_prm_2_2(self):
         code = build(CodeParams("prm", 2, 2, 2))
         for msg in nonzero_messages(code.dimension, 2):
-            support = codeword_support(code, msg)
+            (support,) = codeword_support(code, [msg])
             assert check_subspace_bounds([support], code.params, dims=[1]) == []
 
     def test_quadric_codeword(self):
@@ -212,7 +212,7 @@ class TestDehomogenize:
         apts = affine_points(n, gf)
         reduced = 0
         for msg in nonzero_messages(code.dimension, q):
-            support = codeword_support(code, msg)
+            (support,) = codeword_support(code, [msg])
             if not support:
                 continue
             h = find_avoiding_subspace([support], n, gf, n - 1)[0]
@@ -256,7 +256,7 @@ class TestSupportExtraction:
         code = build(CodeParams("prm", 2, 2, 2))
         for msg in [(1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1), (1, 1, 1, 1, 1, 1)]:
             f = code.poly_for_message(msg)
-            assert tuple(projective_support(f, 2, gf2)) == codeword_support(code, msg)
+            assert [tuple(projective_support(f, 2, gf2))] == codeword_support(code, [msg])
 
 
 # -- batched predicates against a per-support reference ------------------------
@@ -322,7 +322,7 @@ class TestBatchedPredicates:
 
     def test_codeword_batch_matches_reference(self):
         code = build(CodeParams("prm", 3, 2, 2))
-        batch = [codeword_support(code, m) for m in nonzero_messages(code.dimension, 3)]
+        batch = codeword_support(code, list(nonzero_messages(code.dimension, 3)))
         assert check_subspace_bounds(batch, code.params) == []
         assert find_avoiding_subspace(batch, 2, gf3, 1) == [
             reference_avoider(sup, 2, gf3, 1) for sup in batch
@@ -332,7 +332,7 @@ class TestBatchedPredicates:
         # a point meets the 7 planes of P^3(GF(2)) through it in 1 < 2
         # points; two points meet the 4 + 4 planes through only one of them
         code = build(CodeParams("prm", 2, 3, 2))
-        good = [codeword_support(code, (1,) + (0,) * 9), codeword_support(code, (0, 1) + (0,) * 8)]
+        good = codeword_support(code, [(1,) + (0,) * 9, (0, 1) + (0,) * 8])
         batch = [good[0], (0,), good[1], (0, 1)]
         violations = check_subspace_bounds(batch, code.params, dims=[2])
         assert [v.row for v in violations] == [1] * 7 + [3] * 8

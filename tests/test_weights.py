@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prmw import (
     BudgetExceeded,
@@ -204,7 +206,7 @@ class TestWitnesses:
         assert len(at_w1) == 3 and len(at_w2) == 3
         assert len(at_w1) + len(at_w2) == len(rep.witnesses)
         for wit in rep.witnesses:
-            assert codeword_support(code, wit.message) == wit.support
+            assert codeword_support(code, [wit.message]) == [wit.support]
 
     def test_smallest_messages_chosen(self):
         # RM(2,1) over GF(2) has exactly six weight-2 words; the three
@@ -302,18 +304,72 @@ class TestProjectiveVsAffineNextWeight:
 class TestSupports:
     def test_zero_message(self):
         code = build(CodeParams("prm", 2, 2, 2))
-        assert codeword_support(code, [0] * 6) == ()
+        assert codeword_support(code, [[0] * 6]) == [()]
 
     def test_single_row(self):
         code = build(CodeParams("prm", 2, 2, 2))
         msg = [1] + [0] * 5
         expected = tuple(int(i) for i in np.nonzero(code.gen[0])[0])
-        assert codeword_support(code, msg) == expected
+        assert codeword_support(code, [msg]) == [expected]
 
     def test_length_mismatch(self):
         code = build(CodeParams("prm", 2, 2, 2))
         with pytest.raises(DomainError):
-            codeword_support(code, [1, 0])
+            codeword_support(code, [[1, 0]])
+
+    def test_empty_batch(self):
+        code = build(CodeParams("prm", 3, 2, 2))
+        assert codeword_support(code, np.zeros((0, code.dimension), dtype=np.int64)) == []
+
+    def test_one_message_not_a_batch(self):
+        code = build(CodeParams("prm", 2, 2, 2))
+        with pytest.raises(DomainError):
+            codeword_support(code, [1, 0, 0, 0, 0, 0])
+        with pytest.raises(DomainError):
+            codeword_support(code, np.zeros((1, 1, 6), dtype=np.int64))
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.data())
+    def test_batch_matches_per_row_product(self, data):
+        # every field size, lengths up to 16, random batches against one
+        # (m @ gen) % q product per row
+        family, q, n, d = data.draw(st.sampled_from(SMALL_CODES))
+        code = build(CodeParams(family, q, n, d))
+        rows = data.draw(st.integers(0, 12))
+        digits = st.integers(0, q - 1)
+        msgs = data.draw(
+            st.lists(st.lists(digits, min_size=code.dimension, max_size=code.dimension),
+                     min_size=rows, max_size=rows)
+        )
+        batch = np.array(msgs, dtype=np.int64).reshape(rows, code.dimension)
+        expected = [
+            tuple(j for j, v in enumerate(((np.array(m) @ code.gen) % q).tolist()) if v)
+            for m in msgs
+        ]
+        assert codeword_support(code, batch) == expected
+
+    def test_report_collects_witness_supports_once(self, monkeypatch):
+        calls = []
+        real = W.codeword_support
+
+        def counted(code, messages):
+            calls.append(len(messages))
+            return real(code, messages)
+
+        monkeypatch.setattr(W, "codeword_support", counted)
+        rep = weight_report(build(CodeParams("prm", 3, 2, 2)))
+        assert calls == [len(rep.witnesses)]
+
+
+# (family, q, n, d) with length <= 16 over every supported field
+SMALL_CODES = [
+    ("prm", 2, 3, 2), ("rm", 2, 4, 2), ("prm", 2, 2, 3),
+    ("prm", 3, 2, 2), ("rm", 3, 2, 3),
+    ("prm", 5, 1, 3), ("rm", 5, 1, 2),
+    ("prm", 7, 1, 4),
+    ("prm", 11, 1, 5), ("rm", 11, 1, 7),
+    ("prm", 13, 1, 6), ("rm", 13, 1, 12),
+]
 
 
 class TestBudget:
