@@ -3,14 +3,18 @@
 A code is built by evaluating a deterministic monomial list at the
 canonical point enumeration and row-reducing.  The whole evaluation
 matrix (monomials x points) is one uint8 array, gathered from a power
-table one variable at a time; the rows are then eliminated greedily in
-monomial order.  Dimension is always the numeric rank of the evaluation
-matrix; no closed dimension formula is assumed anywhere.  The
-vanishing-ideal quotients are realized as the row space (image) and the
-kernel of that matrix.
+table one variable at a time; ``_eliminate`` then visits its rows in
+monomial order, keeps each row still nonzero when visited, and clears
+that row's pivot column from every other row in one whole-matrix update.
+The rows are stored per field size, as 64-bit words updated by XOR for
+q = 2 and as uint8 residues for q > 2.  Dimension is always the numeric
+rank of the evaluation matrix; no closed dimension formula is assumed
+anywhere.  The vanishing-ideal quotients are realized as the row space
+(image) and the kernel of that matrix.
 
-GF(q) linear algebra lives here too (rref, nullspace, inverse); matrices
-are small numpy int64 arrays with mod-q arithmetic.
+GF(q) linear algebra lives here too: rref, nullspace and inverse are
+thin wrappers around the same ``_eliminate``, on int64 arrays with mod-q
+arithmetic.
 
 Serialization: ``code_to_json`` renders the generator rows in one array
 pass over a byte table of the residues, with the bytes ``json.dumps``
@@ -71,50 +75,85 @@ class CodeParams:
 # -- linear algebra over GF(q) ----------------------------------------------
 
 
+def _eliminate(mat: np.ndarray, q: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """Greedy Gauss-Jordan elimination of a matrix of residues mod q.
+
+    Rows are visited in order.  A row still nonzero when visited becomes
+    a pivot row: it is scaled to a leading 1, and its leftmost nonzero
+    column is cleared from every other row, above and below, in one
+    whole-matrix update.  A row that is zero when visited lies in the
+    span of the rows kept before it and is dropped.
+
+    Returns the kept rows sorted by pivot column (the unique RREF of the
+    row space, int64), their pivot columns in ascending order, and the
+    indices of the kept rows in visiting order (the greedy subset).
+
+    The rows are stored per field size: for q = 2 as little-endian 64-bit
+    words (``pack_bits``) updated by XOR, for q > 2 as uint8 updated by
+    ``(rows + (q - f) * pivot_row) % q``, whose values before the
+    reduction reach (q - 1) + (q - 1)^2 = q(q - 1).
+    """
+    if q * (q - 1) > 255:
+        raise DomainError(f"q={q}: row updates would overflow uint8")
+    binary = q == 2
+    rows = pack_bits(mat) if binary else mat.astype(np.uint8)
+    kept: list[int] = []
+    pivots: list[int] = []
+    for i in range(rows.shape[0]):
+        nz = np.flatnonzero(rows[i])
+        if nz.size == 0:
+            continue
+        if binary:
+            w = int(nz[0])
+            word = int(rows[i, w])
+            bit = (word & -word).bit_length() - 1
+            c = 64 * w + bit
+            hits = np.flatnonzero(rows[:, w] >> bit & 1)
+        else:
+            c = int(nz[0])
+            rows[i] = rows[i] * pow(int(rows[i, c]), -1, q) % q
+            hits = np.flatnonzero(rows[:, c])
+        hits = hits[hits != i]
+        if binary:
+            rows[hits] ^= rows[i]
+        else:
+            rows[hits] = (rows[hits] + (q - rows[hits, c])[:, None] * rows[i]) % q
+        kept.append(i)
+        pivots.append(c)
+    reduced = rows[[i for _, i in sorted(zip(pivots, kept))]]
+    if binary:
+        reduced = np.unpackbits(
+            reduced.view(np.uint8), axis=1, count=mat.shape[1], bitorder="little"
+        )
+    return reduced.astype(np.int64), sorted(pivots), kept
+
+
 def rref(mat: np.ndarray, gf: GF) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row echelon form over GF(q), leftmost-pivot convention.
 
-    Returns (reduced matrix, rank, pivot columns).  The input is not
-    mutated; an empty matrix has rank 0.
+    Returns (reduced matrix, rank, pivot columns), zero rows below the
+    rank rows.  The input is not mutated; an empty matrix has rank 0.
     """
     m = np.array(mat, dtype=np.int64) % gf.q
-    if m.size == 0:
-        return m, 0, []
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = nz[0] + r
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        m[r] = (m[r] * gf.inv(int(m[r, c]))) % gf.q
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % gf.q
-        pivots.append(c)
-        r += 1
-    return m, len(pivots), pivots
+    reduced, pivots, _ = _eliminate(m, gf.q)
+    red = np.zeros_like(m)
+    red[: len(pivots)] = reduced
+    return red, len(pivots), pivots
 
 
 def nullspace(mat: np.ndarray, gf: GF) -> np.ndarray:
-    """Basis of the right kernel of ``mat`` over GF(q), one row per vector."""
+    """Basis of the right kernel of ``mat`` over GF(q), one row per vector:
+    one per non-pivot column, 1 there and minus the reduced matrix's
+    entries of that column at the pivot columns."""
     m = np.array(mat, dtype=np.int64) % gf.q
     if m.size == 0:
         cols = m.shape[1] if m.ndim == 2 else 0
         return np.eye(cols, dtype=np.int64)
     red, rank, pivots = rref(m, gf)
-    cols = m.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-red[r, fc]) % gf.q
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), m.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-red[:rank, free]).T % gf.q
     return basis
 
 
@@ -254,38 +293,11 @@ def _evaluate_monomials(exps: list[Expvec], pts: np.ndarray, q: int) -> np.ndarr
 
 
 def _build(params: CodeParams, monomials: list[Expvec], points: list[Point]) -> Code:
-    gf = GF(params.q)
-    q = gf.q
-    pts = np.array(points, dtype=np.int64)
-    # greedy scan with incremental elimination: keep monomials whose rows
-    # grow the rank, so basis_monomials is an actual monomial subset
-    kept_idx: list[int] = []
-    reduced: list[tuple[int, np.ndarray]] = []  # (pivot col, normalized row)
-    evaluated = _evaluate_monomials(monomials, pts, q)
-    for i, raw in enumerate(evaluated):
-        row = raw.astype(np.int64)
-        for pc, prow in reduced:
-            if row[pc]:
-                row = (row - row[pc] * prow) % q
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            continue
-        pc = int(nz[0])
-        row = (row * gf.inv(int(row[pc]))) % q
-        for j, (opc, orow) in enumerate(reduced):
-            if orow[pc]:
-                reduced[j] = (opc, (orow - orow[pc] * row) % q)
-        reduced.append((pc, row))
-        kept_idx.append(i)
-    reduced.sort(key=lambda t: t[0])
-    gen = np.array([r for _, r in reduced], dtype=np.int64)
-    return Code(
-        params,
-        gen,
-        tuple(monomials[i] for i in kept_idx),
-        points,
-        pivots=tuple(pc for pc, _ in reduced),
-    )
+    # greedy: keep the monomials whose rows grow the rank, so
+    # basis_monomials is an actual monomial subset
+    evaluated = _evaluate_monomials(monomials, np.array(points, dtype=np.int64), params.q)
+    gen, pivots, kept = _eliminate(evaluated, params.q)
+    return Code(params, gen, tuple(monomials[i] for i in kept), points, tuple(pivots))
 
 
 def build_rm(params: CodeParams) -> Code:
@@ -327,9 +339,9 @@ def code_to_json(code: Code) -> str:
     separators=(",", ":"))``.  ``rows`` sorts last, so it is rendered
     apart and spliced in before the closing brace: every cell becomes
     the 3 bytes ``b"%2d,"`` of its residue (one uint8 table lookup over
-    the whole matrix), each row's last comma becomes ``]`` after a
-    leading ``[``, and the pad spaces of one-digit residues are removed
-    at the end.
+    the whole matrix, written in place), each row opens with the 3 bytes
+    ``b" ,["`` (``b"  ["`` for the first) and its last comma becomes
+    ``]``, and the pad spaces are removed at the end.
     """
     p = code.params
     doc = {
@@ -351,13 +363,14 @@ def _rows_json(gen: np.ndarray, q: int) -> str:
     with at least one column and two-digit residues at most."""
     cells = np.frombuffer(b"".join(b"%2d," % v for v in range(q)), dtype=np.uint8)
     cells = cells.reshape(q, 3)
-    rows, length = gen.shape
-    text = np.empty((rows, 3 * length + 2), dtype=np.uint8)
-    text[:, 0] = ord("[")
-    text[:, 1:-1] = cells[gen].reshape(rows, 3 * length)
-    text[:, -2] = ord("]")
-    text[:, -1] = ord(",")
-    return "[" + text.tobytes()[:-1].replace(b" ", b"").decode("ascii") + "]"
+    text = np.empty((gen.shape[0], gen.shape[1] + 1, 3), dtype=np.uint8)
+    text[:, 0] = np.frombuffer(b" ,[", dtype=np.uint8)
+    text[:1, 0, 1] = ord(" ")
+    # gen holds residues < q, so "clip" never clips; it spares take()
+    # the buffered copy that mode="raise" makes of ``out``
+    np.take(cells, gen, axis=0, out=text[:, 1:], mode="clip")
+    text[:, -1, 2] = ord("]")
+    return "[" + text.tobytes().replace(b" ", b"").decode("ascii") + "]"
 
 
 _BITDUMP_MAGIC = "prmw-bits1"

@@ -25,7 +25,7 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .codes import CodeParams, invert_matrix, nullspace, rref
+from .codes import CodeParams, _eliminate, invert_matrix, nullspace, rref
 from .errors import BudgetExceeded, DomainError
 from .formulas import w1_prm
 from .gfp import GF
@@ -279,19 +279,11 @@ def _complete_to_invertible(forms: np.ndarray, gf: GF) -> np.ndarray:
     """Extend the given independent rows to an invertible matrix by the
     first standard basis vectors that keep the rank growing."""
     m = forms.shape[1]
-    rows = [row for row in forms]
-    rank = forms.shape[0]
-    for i in range(m):
-        if rank == m:
-            break
-        e = np.zeros(m, dtype=np.int64)
-        e[i] = 1
-        cand = np.vstack(rows + [e])
-        _, r, _ = rref(cand, gf)
-        if r > rank:
-            rows.append(e)
-            rank = r
-    return np.vstack(rows)
+    cand = np.vstack([forms % gf.q, np.eye(m, dtype=np.int64)])
+    _, _, kept = _eliminate(cand, gf.q)
+    if kept[: len(forms)] != list(range(len(forms))):
+        raise DomainError("forms are not linearly independent")
+    return cand[kept]
 
 
 def _substitute_linear(f: Poly, a: np.ndarray) -> Poly:

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prmw.codes
 from prmw import (
     GF,
     CodeParams,
@@ -18,6 +21,7 @@ from prmw import (
 )
 from prmw.codes import (
     Code,
+    _eliminate,
     _evaluate_monomials,
     bitdump_to_rows,
     homogeneous_monomials,
@@ -26,8 +30,96 @@ from prmw.codes import (
     pack_bits,
     rm_monomials,
 )
+from prmw.geometry import _complete_to_invertible
 from prmw.gfp import SUPPORTED_PRIMES
 from prmw.points import POINT_ORDER_VERSION
+
+
+# -- reference eliminations, kept independent of the code under test ------
+
+
+def greedy_oracle(mat, q):
+    """Row-at-a-time greedy elimination: each row is reduced against the
+    rows kept so far and kept if still nonzero; returns (kept indices,
+    pivot columns ascending, kept reduced rows sorted by pivot)."""
+    mat = np.asarray(mat, dtype=np.int64) % q
+    kept, reduced = [], []
+    for i, raw in enumerate(mat):
+        row = raw.copy()
+        for pc, prow in reduced:
+            if row[pc]:
+                row = (row - row[pc] * prow) % q
+        nz = np.nonzero(row)[0]
+        if nz.size == 0:
+            continue
+        pc = int(nz[0])
+        row = (row * pow(int(row[pc]), -1, q)) % q
+        for j, (opc, orow) in enumerate(reduced):
+            if orow[pc]:
+                reduced[j] = (opc, (orow - orow[pc] * row) % q)
+        reduced.append((pc, row))
+        kept.append(i)
+    reduced.sort(key=lambda t: t[0])
+    rows = np.array([r for _, r in reduced], dtype=np.int64).reshape(len(reduced), mat.shape[1])
+    return kept, [pc for pc, _ in reduced], rows
+
+
+def rref_oracle(mat, q):
+    """Column-pivot Gauss-Jordan: (reduced matrix, rank, pivot columns)."""
+    m = np.array(mat, dtype=np.int64) % q
+    if m.size == 0:
+        return m, 0, []
+    rows, cols = m.shape
+    pivots, r = [], 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = nz[0] + r
+        if p != r:
+            m[[r, p]] = m[[p, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, q)) % q
+        for i in range(rows):
+            if i != r and m[i, c]:
+                m[i] = (m[i] - m[i, c] * m[r]) % q
+        pivots.append(c)
+        r += 1
+    return m, len(pivots), pivots
+
+
+def nullspace_oracle(mat, q):
+    red, _, pivots = rref_oracle(mat, q)
+    cols = red.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[i, pc] = (-red[r, fc]) % q
+    return basis
+
+
+@st.composite
+def planted_matrices(draw):
+    """(matrix, q): random residues with planted zero rows, duplicate rows
+    and linear combinations of earlier rows; 1xN, Mx1 and M > N shapes,
+    and binary lengths past one 64-bit word."""
+    q = draw(st.sampled_from(SUPPORTED_PRIMES))
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.sampled_from([1, 2, 3, 5, 8, 13, 64, 65, 130]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(0, q, size=(rows, cols))
+    for i in range(1, rows):
+        kind = draw(st.sampled_from(["random", "zero", "duplicate", "combination"]))
+        if kind == "zero":
+            m[i] = 0
+        elif kind == "duplicate":
+            m[i] = m[rng.integers(0, i)]
+        elif kind == "combination":
+            m[i] = rng.integers(0, q, size=i) @ m[:i] % q
+    return m, q
 
 
 class TestRref:
@@ -60,6 +152,59 @@ class TestRref:
         for _ in range(5):
             _, r2, _ = rref(m[rng.permutation(6)], GF(5))
             assert r2 == rank
+
+
+class TestEliminate:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(planted_matrices())
+    def test_matches_reference_eliminations(self, case):
+        m, q = case
+        keep = m.copy()
+        rows, pivots, kept = _eliminate(m, q)
+        ref_kept, ref_pivots, ref_rows = greedy_oracle(m, q)
+        assert kept == ref_kept and pivots == ref_pivots
+        assert rows.dtype == np.int64 and np.array_equal(rows, ref_rows)
+        red, rank, piv = rref(m, GF(q))
+        ref_red, ref_rank, ref_piv = rref_oracle(m, q)
+        assert red.dtype == np.int64 and np.array_equal(red, ref_red)
+        assert (rank, piv) == (ref_rank, ref_piv)
+        ns = nullspace(m, GF(q))
+        assert ns.dtype == np.int64 and np.array_equal(ns, nullspace_oracle(m, q))
+        assert np.array_equal(m, keep)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+    @pytest.mark.parametrize("q", [2, 5])
+    def test_empty_matrix(self, shape, q):
+        red, rank, pivots = rref(np.zeros(shape, dtype=np.int64), GF(q))
+        assert red.shape == shape and red.dtype == np.int64
+        assert rank == 0 and pivots == []
+
+    def test_uint8_bound_raises(self):
+        # (q - 1) + (q - 1)^2 must fit a uint8 row
+        with pytest.raises(DomainError):
+            _eliminate(np.ones((2, 3), dtype=np.int64), 17)
+
+
+class TestCompleteToInvertible:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_first_growing_basis_vectors(self, q):
+        rng = np.random.default_rng(q)
+        for m in (3, 4, 6):
+            for k in range(1, m + 1):
+                forms = rng.integers(0, q, size=(k, m))
+                if rref_oracle(forms, q)[1] < k:
+                    continue
+                rows = list(forms)
+                for i in range(m):
+                    e = np.eye(m, dtype=np.int64)[i]
+                    if rref_oracle(np.vstack(rows + [e]), q)[1] > len(rows):
+                        rows.append(e)
+                got = _complete_to_invertible(forms, GF(q))
+                assert np.array_equal(got, np.vstack(rows))
+
+    def test_dependent_forms_rejected(self):
+        with pytest.raises(DomainError):
+            _complete_to_invertible(np.array([[1, 2, 0], [2, 4, 0]]), GF(5))
 
 
 class TestNullspaceInverse:
@@ -121,6 +266,45 @@ class TestBuildRm:
     def test_family_mismatch(self):
         with pytest.raises(DomainError):
             build_rm(CodeParams("prm", 2, 2, 2))
+
+
+CONSTRUCTION_CASES = [
+    ("rm", 2, 12, 4),
+    ("prm", 2, 9, 4),
+    ("rm", 3, 6, 6),
+    ("rm", 5, 4, 6),
+    ("prm", 7, 3, 6),
+    ("prm", 13, 2, 5),
+    ("prm", 11, 2, 3),
+    ("rm", 13, 1, 3),
+    ("prm", 2, 1, 1),
+    ("rm", 3, 3, 0),
+    ("rm", 2, 4, 0),
+]
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("family,q,n,d", CONSTRUCTION_CASES)
+    def test_matches_row_at_a_time_greedy(self, family, q, n, d):
+        code = build(CodeParams(family, q, n, d))
+        monos = rm_monomials(n, d, q) if family == "rm" else homogeneous_monomials(n + 1, d)
+        kept, pivots, rows = greedy_oracle(
+            _evaluate_monomials(monos, np.array(code.points, dtype=np.int64), q), q
+        )
+        assert code.gen.dtype == np.int64 and np.array_equal(code.gen, rows)
+        assert code.pivots == tuple(pivots)
+        assert code.basis_monomials == tuple(monos[i] for i in kept)
+
+    def test_rm_dropped_row_raises(self, monkeypatch):
+        eliminate = prmw.codes._eliminate
+
+        def drop_last(mat, q):
+            rows, pivots, kept = eliminate(mat, q)
+            return rows[:-1], pivots[:-1], kept[:-1]
+
+        monkeypatch.setattr(prmw.codes, "_eliminate", drop_last)
+        with pytest.raises(RuntimeError):
+            build_rm(CodeParams("rm", 3, 2, 2))
 
 
 def span_size(code):
