@@ -2,6 +2,11 @@
 construction, exact weight enumeration, closed-form weight formulas and
 finite-geometry cross-checks."""
 
+import os
+
+# one BLAS thread: a second only spins idle here (no effect once numpy is loaded)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .codes import (
     PRM,
     RM,

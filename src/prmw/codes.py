@@ -338,10 +338,12 @@ def code_to_json(code: Code) -> str:
     The bytes are those of ``json.dumps(doc, sort_keys=True,
     separators=(",", ":"))``.  ``rows`` sorts last, so it is rendered
     apart and spliced in before the closing brace: every cell becomes
-    the 3 bytes ``b"%2d,"`` of its residue (one uint8 table lookup over
-    the whole matrix, written in place), each row opens with the 3 bytes
-    ``b" ,["`` (``b"  ["`` for the first) and its last comma becomes
-    ``]``, and the pad spaces are removed at the end.
+    the 2 bytes ``b"%d,"`` of its residue (one uint8 table lookup over
+    the whole matrix, written in place), each row opens with the 2 bytes
+    ``b",["`` (``b"[["`` for the first), its last comma becomes ``]``
+    and one ``]`` closes the matrix.  Where residues have two digits
+    (q > 10) the cells are the 3 bytes ``b"%2d,"``, the row openings
+    ``b" ,["`` and ``b" [["``, and the pad spaces are removed at the end.
     """
     p = code.params
     doc = {
@@ -360,17 +362,23 @@ def code_to_json(code: Code) -> str:
 
 def _rows_json(gen: np.ndarray, q: int) -> str:
     """``json.dumps(gen.tolist(), separators=(",", ":"))`` for a matrix
-    with at least one column and two-digit residues at most."""
-    cells = np.frombuffer(b"".join(b"%2d," % v for v in range(q)), dtype=np.uint8)
-    cells = cells.reshape(q, 3)
-    text = np.empty((gen.shape[0], gen.shape[1] + 1, 3), dtype=np.uint8)
-    text[:, 0] = np.frombuffer(b" ,[", dtype=np.uint8)
-    text[:1, 0, 1] = ord(" ")
+    with at least one row and one column and two-digit residues at most."""
+    width = 2 if q <= 10 else 3
+    cells = np.frombuffer(b"".join(b"%*d," % (width - 1, v) for v in range(q)), dtype=np.uint8)
+    cells = cells.reshape(q, width)
+    rows, length = gen.shape
+    buf = np.empty(rows * (length + 1) * width + 1, dtype=np.uint8)
+    text = buf[:-1].reshape(rows, length + 1, width)
+    text[:, 0] = np.frombuffer(b",[".rjust(width), dtype=np.uint8)
+    text[0, 0, -2] = ord("[")
     # gen holds residues < q, so "clip" never clips; it spares take()
     # the buffered copy that mode="raise" makes of ``out``
     np.take(cells, gen, axis=0, out=text[:, 1:], mode="clip")
-    text[:, -1, 2] = ord("]")
-    return "[" + text.tobytes().replace(b" ", b"").decode("ascii") + "]"
+    text[:, -1, -1] = ord("]")
+    buf[-1] = ord("]")
+    if width == 3:
+        return buf.tobytes().replace(b" ", b"").decode("ascii")
+    return str(buf.data, "ascii")
 
 
 _BITDUMP_MAGIC = "prmw-bits1"

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -257,6 +256,9 @@ def _counts_q2(gen: np.ndarray, threads: int) -> tuple[np.ndarray, int]:
             for lo, hi in parts
         ]
     else:
+        # imported here: no other path needs concurrent.futures (and logging)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as ex:
             partials = list(
                 ex.map(

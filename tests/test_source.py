@@ -1,7 +1,12 @@
 """Invariants of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import prmw
 import prmw.cli
@@ -39,3 +44,36 @@ def test_benchmark_traced_names_are_cli_callables():
     assert len(names) == 8
     assert [n for n in names if not callable(getattr(prmw.cli, n, None))] == []
     assert [n for n in names if n not in called] == []
+
+
+def _import_in_fresh_interpreter(openblas_threads):
+    """Thread count and OPENBLAS_NUM_THREADS after ``import prmw.cli`` in
+    a new interpreter whose environment sets the variable as given."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(prmw.__file__).resolve().parents[1])
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    code = (
+        "import os, prmw.cli; "
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    ).stdout.split()
+    return int(out[0]), out[1]
+
+
+needs_proc_task = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+)
+
+
+@needs_proc_task
+def test_import_starts_no_thread():
+    # an OpenBLAS worker would spin on a core after every BLAS call
+    assert _import_in_fresh_interpreter(None) == (1, "1")
+
+
+@needs_proc_task
+def test_import_keeps_callers_openblas_threads():
+    assert _import_in_fresh_interpreter("2")[1] == "2"
