@@ -60,7 +60,6 @@ class RunConfig:
     n_values: list[int]
     d_spec: str
     budget: int
-    threads: int
     fmt: str
     out: str | None
 
@@ -141,7 +140,7 @@ def _table_rows(cfg: RunConfig) -> list[dict]:
         row["w1_formula"] = "" if exp.w1 is None else str(exp.w1)
         row["w2_formula"] = exp.w2_text
         try:
-            rep = weight_report(code, budget=cfg.budget, threads=cfg.threads)
+            rep = weight_report(code, budget=cfg.budget)
         except BudgetExceeded as exc:
             row["note"] = str(exc)
             rows.append(row)
@@ -217,7 +216,7 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
 
     try:
         code = build(CodeParams(cfg.family, cfg.q, n, d))
-        rep = weight_report(code, budget=cfg.budget, threads=cfg.threads)
+        rep = weight_report(code, budget=cfg.budget)
     except BudgetExceeded as exc:
         record("weights", "budget", str(exc))
         return
@@ -398,7 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--family", choices=[RM, PRM], default=PRM)
         p.add_argument("--q", type=int, required=True, help="field size (prime)")
         p.add_argument("--budget", type=int, default=None, help=f"codeword cap, default {DEFAULT_BUDGET}")
-        p.add_argument("--threads", type=int, default=1, help="binary counting pass only")
         p.add_argument("--format", dest="fmt", choices=["text", "csv", "json"], default="text")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -428,7 +426,6 @@ def main(argv=None) -> int:
             n_values=_parse_range(args.n),
             d_spec=getattr(args, "d", "1"),
             budget=args.budget if args.budget is not None else _default_budget(),
-            threads=args.threads,
             fmt=args.fmt,
             out=args.out,
         )

@@ -21,16 +21,21 @@ PRM(3,3)/GF(3) (k = 20, N = 40), timed with the q > 2 kernel below.
 The budget caps the code's own q^k whichever side is counted, since
 the witness pass searches the code.
 
+Each field size has one block kernel; both yield blocks
+``(m0, step, weights)``, weights[i] the weight of message m0 + step*i,
+in streams of ascending message order, read by one counting loop and
+one witness search.
+
 q = 2: a doubling table holds the packed codewords of all messages over
 the low b = min(k, 20) message bits; each block of 2^b messages is that
 table XOR-ed with the codeword of the block's high bits, popcounted with
-numpy.  Blocks can be split into contiguous ranges across threads;
-partial counts merge by addition, so results do not depend on the
-partition schedule.
+numpy.  A count of more than one block splits the blocks into
+contiguous streams, one per CPU the process may use, run on threads;
+partial counts merge by addition, so results do not depend on the split.
 
 q > 2: exactly one codeword per scalar class is enumerated (messages
 whose lowest nonzero digit is 1) and nonzero counts are multiplied by
-q - 1.  For lead L those are q^L + q^(L+1)*r for r ascending, with
+q - 1.  Lead L's stream holds q^L + q^(L+1)*r for r ascending, with
 codeword g_L + r*G[L+1:].  A uint8 table T holds the codewords of the
 low b digits of r (built by q-ary doubling, at most 4 MB), and each
 block of q^b consecutive r adds the codeword ``base`` of the lead and
@@ -41,9 +46,12 @@ On a 2-vCPU VM PRM(2,3)/GF(5) (2,441,407 classes) counts in about
 0.07 s and PRM(3,3)/GF(3) (1.74e9 classes) in about 18 s.
 
 Witnesses are canonical: the up-to-K codewords of each extreme weight
-whose message integers are smallest (message value sum_i m_i * q^i).
-They always come from the code itself, searched in ascending message
-order so the search stops once every extreme weight has K.
+with the smallest message values (sum_i m_i * q^i) among the enumerated
+messages, so for q > 2 among the class representatives (RM(2,1)/GF(3)
+gives weight-6 witnesses 1, 3, 4, not 2).  They always come from the
+code itself.  The search stops a stream once its next message exceeds
+the K-th smallest hit of every extreme weight, and skips a lead whose
+first message q^L already does.
 
 Supports are collected a batch at a time: ``codeword_support`` takes a
 matrix of messages, one per row, and returns one support per row from
@@ -55,9 +63,10 @@ exhaustive instance.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -113,7 +122,7 @@ def codeword_support(code: Code, messages) -> list[tuple[int, ...]]:
     return [tuple(cols[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def weight_report(code: Code, budget: int | None = None, threads: int = 1) -> WeightReport:
+def weight_report(code: Code, budget: int | None = None) -> WeightReport:
     """Exact weight distribution with extreme-weight witnesses."""
     budget = DEFAULT_BUDGET if budget is None else budget
     q = code.params.q
@@ -131,7 +140,7 @@ def weight_report(code: Code, budget: int | None = None, threads: int = 1) -> We
         side, gen = "dual", nullspace(code.gen, code.gf)
     else:
         side, gen = "primal", code.gen
-    counts, scanned = _counts_q2(gen, threads) if q == 2 else _counts_qp(gen, q)
+    counts, scanned = _counts(gen, q)
     counts = [int(c) for c in counts]
     if side == "dual":
         counts = _macwilliams(counts, q, dim)
@@ -146,10 +155,7 @@ def weight_report(code: Code, budget: int | None = None, threads: int = 1) -> We
     w1 = nonzero[0]
     w2 = nonzero[1] if len(nonzero) > 1 else None
     targets = [w1] if w2 is None else [w1, w2]
-    if q == 2:
-        pool = _witnesses_q2(code.gen, targets)
-    else:
-        pool = _witnesses_qp(code.gen, q, targets)
+    pool = _witnesses(code.gen, q, targets)
     messages = [_unpack_message(m, dim, q) for w in targets for m in pool[w]]
     supports = codeword_support(code, messages)
     witnesses = [Witness(m, sup) for m, sup in zip(messages, supports)]
@@ -211,7 +217,16 @@ def _unpack_message(m: int, dim: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# -- q = 2 -------------------------------------------------------------------
+# -- block kernels -------------------------------------------------------------
+
+
+def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
+    """(first message, block iterator) per stream of the row space of
+    ``gen``: for q = 2 up to ``parts`` contiguous streams of all 2^k
+    messages; for q > 2 one per lead, ``parts`` unused."""
+    if q == 2:
+        return _bit_streams(gen, parts)
+    return [(q**lead, _class_blocks(gen, q, lead)) for lead in range(gen.shape[0])]
 
 
 def _low_table(rows: np.ndarray, bbits: int) -> np.ndarray:
@@ -222,81 +237,26 @@ def _low_table(rows: np.ndarray, bbits: int) -> np.ndarray:
     return table
 
 
-def _block_weights(rows: np.ndarray, table: np.ndarray, bbits: int, h: int) -> np.ndarray:
-    """Weights of the messages h*2^bbits + i, i = 0..2^bbits - 1."""
-    base = np.zeros(table.shape[1], dtype=np.uint64)
-    j = bbits
-    while h:
-        if h & 1:
-            base ^= rows[j]
-        h >>= 1
-        j += 1
-    return np.bitwise_count(table ^ base).sum(axis=1, dtype=np.int64)
-
-
-def _blocked_counts_range(
-    rows: np.ndarray, length: int, table: np.ndarray, bbits: int, h_lo: int, h_hi: int
-) -> np.ndarray:
-    """Counts for the contiguous message range [h_lo*2^b, h_hi*2^b)."""
-    counts = np.zeros(length + 1, dtype=np.int64)
-    for h in range(h_lo, h_hi):
-        counts += np.bincount(_block_weights(rows, table, bbits, h), minlength=length + 1)
-    return counts
-
-
-def _counts_q2(gen: np.ndarray, threads: int) -> tuple[np.ndarray, int]:
-    rows = pack_bits(gen)
-    dim, length = gen.shape
-    bbits = min(dim, _BLOCK_BITS)
-    table = _low_table(rows, bbits)
-    parts = _partition(1 << (dim - bbits), threads)
-    if threads <= 1:
-        partials = [
-            _blocked_counts_range(rows, length, table, bbits, lo, hi)
-            for lo, hi in parts
-        ]
-    else:
-        # imported here: no other path needs concurrent.futures (and logging)
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            partials = list(
-                ex.map(
-                    lambda p: _blocked_counts_range(rows, length, table, bbits, *p),
-                    parts,
-                )
-            )
-    return sum(partials), 1 << dim
-
-
-def _partition(nblocks: int, threads: int) -> list[tuple[int, int]]:
-    nparts = max(1, min(threads, nblocks))
-    step = nblocks // nparts
-    bounds = [i * step for i in range(nparts)] + [nblocks]
-    return [(bounds[i], bounds[i + 1]) for i in range(nparts)]
-
-
-def _witnesses_q2(gen: np.ndarray, targets: list[int]) -> dict[int, list[int]]:
+def _bit_streams(gen: np.ndarray, parts: int) -> list:
+    """q = 2: blocks of the messages h*2^b + i, i = 0..2^b - 1, for the
+    high bits h in up to ``parts`` contiguous ranges sharing one table."""
     rows = pack_bits(gen)
     dim = gen.shape[0]
     bbits = min(dim, _BLOCK_BITS)
     table = _low_table(rows, bbits)
-    pool: dict[int, list[int]] = {t: [] for t in targets}
-    # ascending message order, so the first K hits per weight are the
-    # smallest; stops as soon as every target is filled
-    for h in range(1 << (dim - bbits)):
-        w = _block_weights(rows, table, bbits, h)
-        for t in targets:
-            need = WITNESS_CAP - len(pool[t])
-            if need > 0:
-                hits = np.nonzero(w == t)[0][:need]
-                pool[t].extend((h << bbits) | int(i) for i in hits)
-        if all(len(pool[t]) >= WITNESS_CAP for t in targets):
-            break
-    return pool
 
+    def blocks(h_lo: int, h_hi: int):
+        for h in range(h_lo, h_hi):
+            base = np.zeros(table.shape[1], dtype=np.uint64)
+            for j in range(dim - bbits):
+                if h >> j & 1:
+                    base ^= rows[bbits + j]
+            yield h << bbits, 1, np.bitwise_count(table ^ base).sum(axis=1, dtype=np.int64)
 
-# -- q > 2 --------------------------------------------------------------------
+    nblocks = 1 << (dim - bbits)
+    parts = min(parts, nblocks)
+    bounds = [nblocks * i // parts for i in range(parts + 1)]
+    return [(lo << bbits, blocks(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _digit_table(rows: np.ndarray, q: int) -> np.ndarray:
@@ -314,11 +274,11 @@ def _digit_table(rows: np.ndarray, q: int) -> np.ndarray:
 
 
 def _class_blocks(gen: np.ndarray, q: int, lead: int):
-    """Weights of the scalar-class representatives whose lowest nonzero
-    digit is a 1 at position ``lead``: the messages q^lead + q^(lead+1)*r,
-    codewords g_lead + r*G[lead+1:], for r ascending.  Yields (r0, weights)
-    per block of q^b consecutive r starting at r0, where the low b digits
-    of r index a table of at most _TABLE_BYTES bytes."""
+    """q > 2: blocks of the scalar-class representatives whose lowest
+    nonzero digit is a 1 at position ``lead``: the messages
+    q^lead + q^(lead+1)*r, codewords g_lead + r*G[lead+1:], for r
+    ascending.  A block holds q^b consecutive r, whose low b digits index
+    a table of at most _TABLE_BYTES bytes."""
     dim, length = gen.shape
     free = dim - lead - 1
     b = 0
@@ -327,6 +287,7 @@ def _class_blocks(gen: np.ndarray, q: int, lead: int):
     table = _digit_table(gen[lead + 1 : lead + 1 + b], q)
     high = gen[lead + 1 + b :]
     wtype = np.min_scalar_type(length)  # uint8 unless N > 255
+    step = q ** (lead + 1)
     for h in range(q ** (free - b)):
         digits = np.array([h // q**j % q for j in range(free - b)], dtype=np.int64)
         base = (gen[lead] + digits @ high) % q
@@ -334,38 +295,66 @@ def _class_blocks(gen: np.ndarray, q: int, lead: int):
         # table[c, s] == -base_c: one byte comparison, no reduction mod q
         neg = (-base % q).astype(np.uint8)
         w = (table != neg[:, None]).view(np.uint8).sum(axis=0, dtype=wtype)
-        yield h * q**b, w
+        yield q**lead + step * h * q**b, step, w
 
 
-def _counts_qp(gen: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+# -- counting and witness search ---------------------------------------------------
+
+
+def _counts(gen: np.ndarray, q: int, workers: int | None = None) -> tuple[np.ndarray, int]:
+    """Weight distribution of the row space of ``gen`` (indexed by weight)
+    and the number of codewords it stands for.  A binary count of more
+    than one block runs its streams on ``workers`` threads, by default
+    one per CPU this process may use; partial counts merge by addition."""
     dim, length = gen.shape
-    counts = np.zeros(length + 1, dtype=np.int64)
-    for lead in range(dim):
-        for _, w in _class_blocks(gen, q, lead):
+    if workers is None:
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no sched_getaffinity on this platform
+            workers = os.cpu_count() or 1
+    blocks = [it for _, it in _streams(gen, q, workers)]
+
+    def tally(stream) -> np.ndarray:
+        counts = np.zeros(length + 1, dtype=np.int64)
+        for _, _, w in stream:
             counts += np.bincount(w, minlength=length + 1)
+        return counts
+
+    if q == 2 and len(blocks) > 1:
+        # imported here: no other path needs concurrent.futures (and logging)
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=len(blocks)) as ex:
+            partials = list(ex.map(tally, blocks))
+    else:
+        partials = map(tally, blocks)
+    counts = sum(partials, np.zeros(length + 1, dtype=np.int64))  # q > 2, k = 0: no stream
+    if q == 2:
+        return counts, 1 << dim
     counts *= q - 1  # each class has q-1 nonzero scalar multiples
     counts[0] += 1  # the zero codeword
     return counts, 1 + (q**dim - 1) // (q - 1)
 
 
-def _witnesses_qp(gen: np.ndarray, q: int, targets: list[int]) -> dict[int, list[int]]:
-    dim = gen.shape[0]
+def _witnesses(gen: np.ndarray, q: int, targets: list[int]) -> dict[int, list[int]]:
+    """The WITNESS_CAP smallest message values of each target weight
+    among the messages the kernel yields."""
     pool: dict[int, list[int]] = {t: [] for t in targets}
-    for lead in range(dim):
-        # one lead's representatives come in ascending message order, so
-        # its first K hits per weight are its K smallest; the lead stops
-        # as soon as every target has them
-        found: dict[int, list[int]] = {t: [] for t in targets}
-        for r0, w in _class_blocks(gen, q, lead):
+
+    def cutoff() -> float:
+        # no message above this can enter any target's smallest K
+        return max(p[-1] if len(p) >= WITNESS_CAP else inf for p in pool.values())
+
+    for first, stream in _streams(gen, q):
+        if first > cutoff():
+            continue
+        for m0, step, w in stream:
+            # a block is ascending, so its first K hits are its K smallest
             for t in targets:
-                need = WITNESS_CAP - len(found[t])
-                if need > 0:
-                    hits = np.flatnonzero(w == t)[:need]
-                    found[t].extend(q**lead + q ** (lead + 1) * (r0 + int(s)) for s in hits)
-            if all(len(found[t]) >= WITNESS_CAP for t in targets):
+                hits = np.flatnonzero(w == t)[:WITNESS_CAP]
+                pool[t] = sorted(pool[t] + [m0 + step * int(i) for i in hits])[:WITNESS_CAP]
+            if m0 + step * len(w) > cutoff():
                 break
-        for t in targets:
-            pool[t] = sorted(pool[t] + found[t])[:WITNESS_CAP]
     return pool
 
 

@@ -32,7 +32,7 @@ def _instances():
 def _kernel_counts(gen, q):
     """The counting kernel's distribution of the row space of ``gen``,
     as a list indexed by weight."""
-    counts, _ = W._counts_q2(gen, 1) if q == 2 else W._counts_qp(gen, q)
+    counts, _ = W._counts(gen, q, 1)
     return [int(c) for c in counts]
 
 
@@ -84,7 +84,7 @@ def test_report_matches_primal_enumeration(family, q, n, d):
         assert rep.weight_counts == naive_weight_counts(code)
     if q > 2:
         targets = [t for t in (rep.min_weight, rep.next_weight) if t is not None]
-        assert W._witnesses_qp(code.gen, q, targets) == _full_scan_witnesses_qp(
+        assert W._witnesses(code.gen, q, targets) == _full_scan_witnesses_qp(
             code.gen, q, targets
         )
 
@@ -217,10 +217,10 @@ def test_qary_kernel_matches_naive(qgen):
     for table_bytes in (q * length, W._TABLE_BYTES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(W, "_TABLE_BYTES", table_bytes)
-            counts, scanned = W._counts_qp(gen, q)
+            counts, scanned = W._counts(gen, q)
             assert _as_dict([int(c) for c in counts]) == naive
             assert scanned == 1 + (q**dim - 1) // (q - 1)
-            assert W._witnesses_qp(gen, q, targets) == _full_scan_witnesses_qp(gen, q, targets)
+            assert W._witnesses(gen, q, targets) == _full_scan_witnesses_qp(gen, q, targets)
 
 
 def _full_scan_witnesses_q2(gen, targets):
@@ -240,12 +240,12 @@ def test_binary_kernel_matches_naive(qgen):
     naive = naive_weight_counts(_matrix_code(gen, 2))
     targets = sorted(w for w in naive if w)[:2]
     # the default: one block per code; 2 bits: 4-message blocks, split
-    # between the threads
+    # between 1 or 2 workers
     for block_bits in (W._BLOCK_BITS, 2):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(W, "_BLOCK_BITS", block_bits)
-            for threads in (1, 2):
-                counts, scanned = W._counts_q2(gen, threads)
+            for workers in (1, 2):
+                counts, scanned = W._counts(gen, 2, workers)
                 assert _as_dict([int(c) for c in counts]) == naive
                 assert scanned == 2**dim
-            assert W._witnesses_q2(gen, targets) == _full_scan_witnesses_q2(gen, targets)
+            assert W._witnesses(gen, 2, targets) == _full_scan_witnesses_q2(gen, targets)

@@ -46,21 +46,23 @@ def test_benchmark_traced_names_are_cli_callables():
     assert [n for n in names if n not in called] == []
 
 
-def _import_in_fresh_interpreter(openblas_threads):
-    """Thread count and OPENBLAS_NUM_THREADS after ``import prmw.cli`` in
-    a new interpreter whose environment sets the variable as given."""
+def _import_in_fresh_interpreter(openblas_threads, then="pass"):
+    """Thread count, OPENBLAS_NUM_THREADS and whether concurrent.futures
+    is loaded, after ``import prmw.cli`` and the statements ``then`` in a
+    new interpreter whose environment sets the variable as given."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(Path(prmw.__file__).resolve().parents[1])
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
     code = (
-        "import os, prmw.cli; "
-        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+        "import os, sys, prmw.cli; " + then + "; "
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'), "
+        "'concurrent.futures' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     ).stdout.split()
-    return int(out[0]), out[1]
+    return int(out[0]), out[1], out[2] == "True"
 
 
 needs_proc_task = pytest.mark.skipif(
@@ -71,9 +73,21 @@ needs_proc_task = pytest.mark.skipif(
 @needs_proc_task
 def test_import_starts_no_thread():
     # an OpenBLAS worker would spin on a core after every BLAS call
-    assert _import_in_fresh_interpreter(None) == (1, "1")
+    assert _import_in_fresh_interpreter(None) == (1, "1", False)
 
 
 @needs_proc_task
 def test_import_keeps_callers_openblas_threads():
     assert _import_in_fresh_interpreter("2")[1] == "2"
+
+
+@needs_proc_task
+def test_one_block_binary_count_starts_no_thread():
+    # k = 16 is one block, as is every binary count the `table`
+    # benchmark jobs make: no thread pool, not even its import
+    then = (
+        "from prmw import CodeParams, build, weight_report; "
+        "weight_report(build(CodeParams('rm', 2, 5, 2)))"
+    )
+    threads, _, futures = _import_in_fresh_interpreter(None, then)
+    assert (threads, futures) == (1, False)

@@ -16,8 +16,6 @@ from prmw import (
     weight_report,
 )
 import prmw.weights as W
-from prmw.codes import pack_bits
-from prmw.weights import _blocked_counts_range, _low_table
 
 
 @pytest.fixture
@@ -109,22 +107,19 @@ class TestDistributions:
 
 
 class TestPrimalInvariants:
-    @pytest.mark.parametrize(
-        "family,q,n,d,kernel",
-        [("prm", 2, 2, 1, "_counts_q2"), ("rm", 3, 2, 1, "_counts_qp")],
-    )
-    def test_missing_codeword_raises(self, monkeypatch, family, q, n, d, kernel):
-        # a kernel that loses one codeword of the top weight: the zero
+    @pytest.mark.parametrize("family,q,n,d", [("prm", 2, 2, 1), ("rm", 3, 2, 1)])
+    def test_missing_codeword_raises(self, monkeypatch, family, q, n, d):
+        # a count that loses one codeword of the top weight: the zero
         # word is still counted once, but the total is q^k - 1
-        counting = getattr(W, kernel)
+        counting = W._counts
 
-        def lossy(gen, arg):
-            counts, scanned = counting(gen, arg)
+        def lossy(*args):
+            counts, scanned = counting(*args)
             counts = counts.copy()
             counts[np.flatnonzero(counts)[-1]] -= 1
             return counts, scanned
 
-        monkeypatch.setattr(W, kernel, lossy)
+        monkeypatch.setattr(W, "_counts", lossy)
         code = build(CodeParams(family, q, n, d))
         with pytest.raises(RuntimeError, match=f"codewords, not {q}\\^{code.dimension}"):
             weight_report(code)
@@ -135,12 +130,12 @@ class TestEnumerationPaths:
         # 2^k <= 2^_BLOCK_BITS: the whole message space is one table
         for family, n, d in [("rm", 3, 2), ("prm", 3, 2), ("prm", 2, 2)]:
             code = build(CodeParams(family, 2, n, d))
-            assert counts_of(W._counts_q2(code.gen, 1)[0]) == naive_weight_counts(code)
+            assert counts_of(W._counts(code.gen, 2, 1)[0]) == naive_weight_counts(code)
 
     def test_blocked_matches_naive(self, small_blocks):
         for family, n, d in [("rm", 2, 1), ("rm", 4, 2), ("prm", 3, 3)]:
             code = build(CodeParams(family, 2, n, d))
-            assert counts_of(W._counts_q2(code.gen, 1)[0]) == naive_weight_counts(code)
+            assert counts_of(W._counts(code.gen, 2, 1)[0]) == naive_weight_counts(code)
 
     def test_scalar_class_matches_naive_gf3(self):
         # nonzero multiplicities are exactly (q-1) per class representative
@@ -152,35 +147,22 @@ class TestEnumerationPaths:
                 c % 2 == 0 for w, c in rep.weight_counts.items() if w > 0
             )
 
-    def test_partition_merge_schedule_independent(self):
+    def test_partition_merge_schedule_independent(self, monkeypatch, small_blocks):
+        # 1024 blocks in 1, 2 or 3 contiguous ranges, one thread each
         code = build(CodeParams("prm", 2, 3, 3))
-        rows = pack_bits(code.gen)
-        bbits = 4
-        table = _low_table(rows, bbits)
-        nblocks = 1 << (len(rows) - bbits)
-        parts = [(i, i + 1) for i in range(nblocks)]
-        rng = np.random.default_rng(1)
         full = naive_weight_counts(code)
-        for _ in range(3):
-            rng.shuffle(parts)
-            total = sum(
-                _blocked_counts_range(rows, code.length, table, bbits, lo, hi)
-                for lo, hi in parts
-            )
-            assert counts_of(total) == full
-
-    def test_thread_count_does_not_change_report(self, small_blocks):
-        code = build(CodeParams("prm", 2, 3, 2))
-        r1 = weight_report(code, threads=1)
-        r3 = weight_report(code, threads=3)
-        assert r1.weight_counts == r3.weight_counts
-        assert r1.witnesses == r3.witnesses
+        for workers in (1, 2, 3):
+            counts, scanned = W._counts(code.gen, 2, workers)
+            assert counts_of(counts) == full
+            assert scanned == 2**code.dimension
+        # the default, one range per CPU, on 2 blocks: at most 2 threads
+        monkeypatch.setattr(W, "_BLOCK_BITS", code.dimension - 1)
+        assert counts_of(W._counts(code.gen, 2)[0]) == full
 
     def test_multiword_lengths(self, small_blocks):
         # 127 columns forces two 64-bit words per codeword
         code = build(CodeParams("prm", 2, 6, 1))
-        rep = weight_report(code)
-        assert rep.weight_counts == naive_weight_counts(code)
+        assert counts_of(W._counts(code.gen, 2, 2)[0]) == naive_weight_counts(code)
 
 
 class TestWitnesses:
@@ -194,9 +176,9 @@ class TestWitnesses:
         code = build(CodeParams("prm", 2, 3, 2))
         targets = [4, 6]
         expected = naive_witnesses(code, targets)
-        assert W._witnesses_q2(code.gen, targets) == expected
+        assert W._witnesses(code.gen, 2, targets) == expected
         monkeypatch.setattr(W, "_BLOCK_BITS", 4)
-        assert W._witnesses_q2(code.gen, targets) == expected
+        assert W._witnesses(code.gen, 2, targets) == expected
 
     def test_cap_and_weights(self):
         code = build(CodeParams("prm", 2, 3, 2))
@@ -215,6 +197,36 @@ class TestWitnesses:
         rep = weight_report(code)
         msgs = [wit.message for wit in rep.witnesses if len(wit.support) == 2]
         assert msgs == [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
+
+    def test_cutoff_spans_leads(self, monkeypatch):
+        # PRM(2,6)/GF(5), k = 25: the dual count takes 6 blocks and the
+        # witness search one per lead L with 5^L <= 3905, the largest
+        # witness; scanning one lead until it alone had K hits per weight
+        # would take thousands
+        real = W._class_blocks
+        taken = 0
+
+        def counted(*args):
+            nonlocal taken
+            for block in real(*args):
+                taken += 1
+                if taken > 64:
+                    raise RuntimeError("more than 64 blocks taken")
+                yield block
+
+        monkeypatch.setattr(W, "_class_blocks", counted)
+        rep = weight_report(build(CodeParams("prm", 5, 2, 6)), budget=5**25)
+        assert (rep.min_weight, rep.next_weight) == (4, 5)
+        values = {
+            w: [
+                sum(m * 5**i for i, m in enumerate(wit.message))
+                for wit in rep.witnesses
+                if len(wit.support) == w
+            ]
+            for w in (4, 5)
+        }
+        assert values == {4: [1, 5, 286], 5: [1231, 3371, 3905]}
+        assert taken == 6 + 6
 
     def test_gf3_witnesses_are_class_representatives(self):
         rep = weight_report(build(CodeParams("rm", 3, 2, 1)))
