@@ -242,11 +242,11 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
         # every message in itertools.product order (last digit fastest)
         # but the first, the zero one
         messages = np.indices((cfg.q,) * rep.dimension).reshape(rep.dimension, -1).T[1:]
-        supports = codeword_support(code, messages)
-        scope = f"all {len(supports)} nonzero codewords"
+        scope = f"all {len(messages)} nonzero codewords"
     else:
-        supports = [w.support for w in rep.witnesses]
-        scope = f"{len(supports)} witness codewords"
+        messages = [w.message for w in rep.witnesses]
+        scope = f"{len(messages)} witness codewords"
+    supports = codeword_support(code, messages)
 
     try:
         violations = len(check_subspace_bounds(supports, code.params))
@@ -261,16 +261,16 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
     k, hyperplane_bound, subspace_bound = avoiding_bounds(n, d, cfg.q)
     try:
         # |S| < bound iff |S| < ceil(bound): no Fraction compare per support
-        limit = ceil(hyperplane_bound)
-        small = [sup for sup in supports if len(sup) < limit]
-        missing1 = find_avoiding_subspace(small, n, gf, n - 1).count(None)
+        sizes = supports.sum(axis=1)
+        small = supports[sizes < ceil(hyperplane_bound)]
+        missing1 = sum(h is None for h in find_avoiding_subspace(small, n, gf, n - 1))
         record(
             "avoiding_hyperplane",
             "pass" if missing1 == 0 else "fail",
             f"{scope}, |S| < {float(hyperplane_bound):g}, {missing1} without avoiding hyperplane",
         )
-        small = [sup for sup in supports if len(sup) <= subspace_bound]
-        missing2 = find_avoiding_subspace_at_least(small, n, gf, k).count(None)
+        small = supports[sizes <= subspace_bound]
+        missing2 = sum(h is None for h in find_avoiding_subspace_at_least(small, n, gf, k))
         record(
             "avoiding_subspace",
             "pass" if missing2 == 0 else "fail",

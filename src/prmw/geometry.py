@@ -4,17 +4,19 @@ Subspaces are enumerated as canonical RREF representatives of
 (s+1) x (n+1) full-rank matrices over GF(q), giving each projective
 s-dimensional subspace exactly once, in a fixed order (pivot columns in
 lexicographic order, then free entries in ascending mixed-radix order).
-Next to that tuple, each (n, q, s) caches one boolean incidence matrix,
-subspaces x points, computed from the defining forms in one product;
-it is the only point-set representation.
+Each (n, q, s) caches two read-only arrays, the subspaces' defining
+forms and one boolean incidence matrix, subspaces x points, computed
+from the forms in one product; it is the only point-set representation.
+``Subspace`` objects are built only for the subspaces a result returns.
 
-The support predicates take a batch of supports (an iterable of point
-index sequences; one support is a one-element batch) and read every
-meet size from one supports x points @ points x subspaces product per
-dimension: intersection lower bounds for codeword supports, and the
-first subspace avoiding each support.  Whether a zero set is a union of
-hyperplanes and the dehomogenization onto a chart an avoiding
-hyperplane defines read the same incidences.
+The support predicates take a batch of supports (a boolean supports x
+points matrix, or an iterable of point index sequences; one support is
+a one-element batch) and read every meet size from one supports x
+points @ points x subspaces product per dimension: intersection lower
+bounds for codeword supports, and the first subspace avoiding each
+support.  Whether a zero set is a union of hyperplanes and the
+dehomogenization onto a chart an avoiding hyperplane defines read the
+same incidences.
 """
 
 from __future__ import annotations
@@ -80,9 +82,10 @@ def _subspace(forms: np.ndarray, incidence: np.ndarray) -> Subspace:
 
 
 @lru_cache(maxsize=None)
-def _subspaces(n: int, q: int, s: int, cap: int) -> tuple[tuple[Subspace, ...], np.ndarray]:
-    """The dimension-s subspaces in enumeration order and their
-    incidence matrix, row i holding the points of subspace i."""
+def _subspaces(n: int, q: int, s: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forms (subspaces x forms x n+1) of the dimension-s subspaces
+    in enumeration order and their incidence matrix, row i holding the
+    points of subspace i; ``_subspace(forms[i], inc[i])`` is subspace i."""
     count = gaussian_binomial(n + 1, s + 1, q)
     if count > cap:
         raise BudgetExceeded(
@@ -113,8 +116,8 @@ def _subspaces(n: int, q: int, s: int, cap: int) -> tuple[tuple[Subspace, ...], 
     if len(forms) != count:
         raise RuntimeError(f"expected {count} subspaces, built {len(forms)}")
     inc = _incidence(forms, n, q)
-    inc.flags.writeable = False  # cached: every caller shares it
-    return tuple(map(_subspace, forms, inc)), inc
+    forms.flags.writeable = inc.flags.writeable = False  # cached: every caller shares them
+    return forms, inc
 
 
 def enumerate_subspaces(
@@ -123,7 +126,7 @@ def enumerate_subspaces(
     """All projective dimension-s subspaces of P^n(GF(q)), each once."""
     if not 0 <= s <= n - 1:
         raise DomainError(f"subspace dimension s={s} outside [0, {n - 1}]")
-    return list(_subspaces(n, gf.q, s, cap)[0])
+    return list(map(_subspace, *_subspaces(n, gf.q, s, cap)))
 
 
 def subspace_from_forms(forms, n: int, gf: GF) -> Subspace:
@@ -149,10 +152,17 @@ def projective_support(f: Poly, n: int, gf: GF) -> tuple[int, ...]:
 def _support_rows(supports, n: int, q: int) -> np.ndarray:
     """One 0/1 row per support over the points of P^n, as float32: meet
     sizes are at most N <= POINT_ENUM_CAP = 2^24, which float32 holds
-    exactly, and its matrix product is the fast one."""
-    supports = [tuple(sup) for sup in supports]
-    lengths = [len(sup) for sup in supports]
+    exactly, and its matrix product is the fast one.  A boolean matrix
+    is taken as these rows; index sequences are placed in them."""
     npts = projective_size(n, q)
+    if isinstance(supports, np.ndarray) and supports.dtype == bool:
+        if supports.ndim != 2 or supports.shape[1] != npts:
+            raise DomainError(f"support matrix {supports.shape} is not rows of {npts} points")
+        return supports.astype(np.float32)
+    supports = [tuple(sup) for sup in supports]
+    if any(isinstance(sup[0], (bool, np.bool_)) for sup in supports if sup):
+        raise DomainError("boolean supports are given as one matrix, not row by row")
+    lengths = [len(sup) for sup in supports]
     cols = np.fromiter(chain.from_iterable(supports), dtype=np.int64, count=sum(lengths))
     if cols.size and not 0 <= cols.min() <= cols.max() < npts:
         raise DomainError(f"support index outside [0, {npts - 1}]")
@@ -171,10 +181,12 @@ def _first_avoiders(rows: np.ndarray, n: int, q: int, r: int, cap: int) -> list[
         raise DomainError(f"subspace dimension r={r} outside [0, {n - 1}]")
     if not rows.any(axis=1).all():
         raise DomainError("support is empty")
-    subs, inc = _subspaces(n, q, r, cap)
+    forms, inc = _subspaces(n, q, r, cap)
     avoids = _meets(rows, inc) == 0
-    first = avoids.argmax(axis=1).tolist()
-    return [subs[j] if avoids[i, j] else None for i, j in enumerate(first)]
+    first = np.where(avoids.any(axis=1), avoids.argmax(axis=1), -1).tolist()
+    # one object per distinct avoider; -1 (none) maps to None
+    subs = {j: _subspace(forms[j], inc[j]) for j in set(first) if j >= 0}
+    return [subs.get(j) for j in first]
 
 
 def find_avoiding_subspace(
@@ -232,14 +244,15 @@ def check_subspace_bounds(
     violations = []
     for s in dims:
         required = w1_prm(s, d, q)
-        subs, inc = _subspaces(n, q, s, cap)
+        forms, inc = _subspaces(n, q, s, cap)
         meets = _meets(rows, inc)
-        hit, sub = np.nonzero((meets > 0) & (meets < required))
-        sizes = meets[hit, sub].astype(np.int64).tolist()
+        flat = np.flatnonzero((meets > 0) & (meets < required))
+        sizes = meets.ravel()[flat].astype(np.int64).tolist()
         # one meet matrix at a time: it is supports x subspaces
         del meets
+        hit, sub = divmod(flat, len(inc))
         violations += [
-            BoundViolation(i, s, subs[j], m, required)
+            BoundViolation(i, s, _subspace(forms[j], inc[j]), m, required)
             for i, j, m in zip(hit.tolist(), sub.tolist(), sizes)
         ]
     violations.sort(key=lambda v: v.row)
@@ -263,12 +276,12 @@ def zero_set_is_hyperplane_union(f: Poly, n: int, gf: GF) -> HyperplaneCover:
     support = list(projective_support(f, n, gf))
     if not support:
         raise DomainError("polynomial vanishes everywhere")
-    hyperplanes, inc = _subspaces(n, gf.q, n - 1, SUBSPACE_ENUM_CAP)
+    forms, inc = _subspaces(n, gf.q, n - 1, SUBSPACE_ENUM_CAP)
     contained = ~inc[:, support].any(axis=1)
     covered = inc[contained].any(axis=0)
     covered[support] = True
     uncovered = tuple(np.flatnonzero(~covered).tolist())
-    hyperplanes = tuple(h for h, c in zip(hyperplanes, contained.tolist()) if c)
+    hyperplanes = tuple(_subspace(forms[j], inc[j]) for j in np.flatnonzero(contained))
     return HyperplaneCover(not uncovered, hyperplanes, uncovered)
 
 

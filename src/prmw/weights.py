@@ -54,10 +54,11 @@ the K-th smallest hit of every extreme weight, and skips a lead whose
 first message q^L already does.
 
 Supports are collected a batch at a time: ``codeword_support`` takes a
-matrix of messages, one per row, and returns one support per row from
-a single product with the generator.  A report makes one such call for
-all its witnesses, and ``verify`` one for every nonzero message of an
-exhaustive instance.
+matrix of messages, one per row, and returns the boolean supports x
+points matrix of a single product with the generator, which the
+geometry predicates take as it is.  A report makes one such call for
+all its witnesses, and ``verify`` one per instance, for every nonzero
+message of an exhaustive one, else for the report's witnesses.
 """
 
 from __future__ import annotations
@@ -102,24 +103,20 @@ class WeightReport:
     elapsed_ms: int
 
 
-def codeword_support(code: Code, messages) -> list[tuple[int, ...]]:
-    """Indices (canonical point order) where each codeword is nonzero.
+def codeword_support(code: Code, messages) -> np.ndarray:
+    """Where each codeword is nonzero, as a boolean matrix.
 
     ``messages`` is a batch, one message per row (a single message is a
-    1-element batch); the result has one ascending support tuple per
-    row, in row order.  The whole batch is one ``(msgs @ gen) % q``
-    product and one ``np.nonzero``, whose column indices are split into
-    the rows' tuples.
+    1-element batch); row i of the ``(batch, N)`` result is True at the
+    points (canonical order) where codeword i is nonzero.  The whole
+    batch is one ``(msgs @ gen) % q`` product.
     """
     msgs = np.asarray(messages, dtype=np.int64)
     if msgs.ndim != 2 or msgs.shape[1] != code.dimension:
         raise DomainError(
             f"messages of shape {msgs.shape} are not rows of length {code.dimension}"
         )
-    nonzero = (msgs @ code.gen) % code.params.q != 0
-    ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
-    cols = np.nonzero(nonzero)[1].tolist()
-    return [tuple(cols[a:b]) for a, b in zip([0] + ends, ends)]
+    return (msgs @ code.gen) % code.params.q != 0
 
 
 def weight_report(code: Code, budget: int | None = None) -> WeightReport:
@@ -158,7 +155,7 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
     pool = _witnesses(code.gen, q, targets)
     messages = [_unpack_message(m, dim, q) for w in targets for m in pool[w]]
     supports = codeword_support(code, messages)
-    witnesses = [Witness(m, sup) for m, sup in zip(messages, supports)]
+    witnesses = [Witness(m, tuple(np.flatnonzero(s).tolist())) for m, s in zip(messages, supports)]
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return WeightReport(
         params=code.params,

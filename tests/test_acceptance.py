@@ -53,7 +53,8 @@ def all_nonzero_codeword_supports(code):
     for j in range(dim):
         msgs[:, j] = rem % q
         rem //= q
-    return msgs[1:], codeword_support(code, msgs[1:])
+    rows = codeword_support(code, msgs[1:])
+    return msgs[1:], [tuple(np.flatnonzero(row).tolist()) for row in rows]
 
 
 def test_criterion_1_binary_prm_grid(reports):

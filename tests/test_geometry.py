@@ -128,8 +128,7 @@ class TestSubspaceBounds:
     def test_all_codewords_prm_2_2(self):
         code = build(CodeParams("prm", 2, 2, 2))
         for msg in nonzero_messages(code.dimension, 2):
-            (support,) = codeword_support(code, [msg])
-            assert check_subspace_bounds([support], code.params, dims=[1]) == []
+            assert check_subspace_bounds(codeword_support(code, [msg]), code.params, dims=[1]) == []
 
     def test_quadric_codeword(self):
         f = parse_poly("X0*X3+X1*X2", 4, gf2)
@@ -212,7 +211,7 @@ class TestDehomogenize:
         apts = affine_points(n, gf)
         reduced = 0
         for msg in nonzero_messages(code.dimension, q):
-            (support,) = codeword_support(code, [msg])
+            support = tuple(np.flatnonzero(codeword_support(code, [msg])[0]).tolist())
             if not support:
                 continue
             h = find_avoiding_subspace([support], n, gf, n - 1)[0]
@@ -256,7 +255,8 @@ class TestSupportExtraction:
         code = build(CodeParams("prm", 2, 2, 2))
         for msg in [(1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1), (1, 1, 1, 1, 1, 1)]:
             f = code.poly_for_message(msg)
-            assert [tuple(projective_support(f, 2, gf2))] == codeword_support(code, [msg])
+            (row,) = codeword_support(code, [msg])
+            assert projective_support(f, 2, gf2) == tuple(np.flatnonzero(row).tolist())
 
 
 # -- batched predicates against a per-support reference ------------------------
@@ -325,14 +325,17 @@ class TestBatchedPredicates:
         batch = codeword_support(code, list(nonzero_messages(code.dimension, 3)))
         assert check_subspace_bounds(batch, code.params) == []
         assert find_avoiding_subspace(batch, 2, gf3, 1) == [
-            reference_avoider(sup, 2, gf3, 1) for sup in batch
+            reference_avoider(np.flatnonzero(sup).tolist(), 2, gf3, 1) for sup in batch
         ]
 
     def test_planted_violations(self):
         # a point meets the 7 planes of P^3(GF(2)) through it in 1 < 2
         # points; two points meet the 4 + 4 planes through only one of them
         code = build(CodeParams("prm", 2, 3, 2))
-        good = codeword_support(code, [(1,) + (0,) * 9, (0, 1) + (0,) * 8])
+        good = [
+            tuple(np.flatnonzero(row).tolist())
+            for row in codeword_support(code, [(1,) + (0,) * 9, (0, 1) + (0,) * 8])
+        ]
         batch = [good[0], (0,), good[1], (0, 1)]
         violations = check_subspace_bounds(batch, code.params, dims=[2])
         assert [v.row for v in violations] == [1] * 7 + [3] * 8
@@ -358,3 +361,63 @@ class TestBatchedPredicates:
                 check_subspace_bounds([(0,), bad], params)
             with pytest.raises(DomainError):
                 find_avoiding_subspace([bad], 2, gf2, 1)
+
+    @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2)])
+    def test_boolean_matrix_matches_index_form(self, q, n):
+        gf = GF(q)
+        npts = len(projective_points(n, gf))
+        batch = random_supports(npts, 30, seed=q * 100 + n)
+        matrix = np.zeros((len(batch), npts), dtype=bool)
+        for row, support in zip(matrix, batch):
+            row[list(support)] = True
+        for d in (2, 3):
+            params = CodeParams("prm", q, n, d)
+            assert check_subspace_bounds(matrix, params) == check_subspace_bounds(batch, params)
+        for r in range(n):
+            for find in (find_avoiding_subspace, find_avoiding_subspace_at_least):
+                assert find(matrix, n, gf, r) == find(batch, n, gf, r)
+
+    def test_boolean_matrix_shape_checked(self):
+        params = CodeParams("prm", 2, 2, 2)
+        for shape in [(7,), (1, 1, 7), (2, 6)]:
+            bad = np.ones(shape, dtype=bool)
+            with pytest.raises(DomainError):
+                check_subspace_bounds(bad, params)
+            with pytest.raises(DomainError):
+                find_avoiding_subspace(bad, 2, gf2, 1)
+            with pytest.raises(DomainError):
+                find_avoiding_subspace_at_least(bad, 2, gf2, 0)
+        one_empty = np.zeros((2, 7), dtype=bool)
+        one_empty[0, 0] = True
+        for find in (find_avoiding_subspace, find_avoiding_subspace_at_least):
+            with pytest.raises(DomainError, match="support is empty"):
+                find(one_empty, 2, gf2, 0)
+            with pytest.raises(DomainError, match="support is empty"):
+                find([[]], 2, gf2, 0)
+        # boolean rows one by one would read as the indices 0 and 1
+        with pytest.raises(DomainError):
+            check_subspace_bounds(list(one_empty), params)
+
+
+def test_subspaces_built_only_when_reported(monkeypatch):
+    # all points but the last meet every subspace of dimension >= 1, so
+    # only the last point avoids them: one Subspace for the one result,
+    # not one per cached subspace of each dimension tried
+    import prmw.geometry as G
+
+    built = []
+    real = G._subspace
+
+    def counted(forms, incidence):
+        built.append(forms.shape)
+        return real(forms, incidence)
+
+    monkeypatch.setattr(G, "_subspace", counted)
+    npts = len(projective_points(5, gf2))
+    G._subspaces.cache_clear()
+    try:
+        (found,) = find_avoiding_subspace_at_least([range(npts - 1)], 5, gf2, 0)
+    finally:
+        G._subspaces.cache_clear()
+    assert found is not None and found.dim == 0 and found.point_indices == (npts - 1,)
+    assert len(built) <= 3

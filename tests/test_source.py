@@ -48,8 +48,9 @@ def test_benchmark_traced_names_are_cli_callables():
 
 def _import_in_fresh_interpreter(openblas_threads, then="pass"):
     """Thread count, OPENBLAS_NUM_THREADS and whether concurrent.futures
-    is loaded, after ``import prmw.cli`` and the statements ``then`` in a
-    new interpreter whose environment sets the variable as given."""
+    and numpy.ma are loaded, after ``import prmw.cli`` and the statements
+    ``then`` in a new interpreter whose environment sets the variable as
+    given."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(Path(prmw.__file__).resolve().parents[1])
     if openblas_threads is not None:
@@ -57,12 +58,12 @@ def _import_in_fresh_interpreter(openblas_threads, then="pass"):
     code = (
         "import os, sys, prmw.cli; " + then + "; "
         "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'), "
-        "'concurrent.futures' in sys.modules)"
+        "'concurrent.futures' in sys.modules, 'numpy.ma' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     ).stdout.split()
-    return int(out[0]), out[1], out[2] == "True"
+    return int(out[0]), out[1], out[2] == "True", out[3] == "True"
 
 
 needs_proc_task = pytest.mark.skipif(
@@ -73,7 +74,7 @@ needs_proc_task = pytest.mark.skipif(
 @needs_proc_task
 def test_import_starts_no_thread():
     # an OpenBLAS worker would spin on a core after every BLAS call
-    assert _import_in_fresh_interpreter(None) == (1, "1", False)
+    assert _import_in_fresh_interpreter(None) == (1, "1", False, False)
 
 
 @needs_proc_task
@@ -89,5 +90,16 @@ def test_one_block_binary_count_starts_no_thread():
         "from prmw import CodeParams, build, weight_report; "
         "weight_report(build(CodeParams('rm', 2, 5, 2)))"
     )
-    threads, _, futures = _import_in_fresh_interpreter(None, then)
+    threads, _, futures, _ = _import_in_fresh_interpreter(None, then)
     assert (threads, futures) == (1, False)
+
+
+def test_verify_and_witness_do_not_import_numpy_ma():
+    # numpy.ma loads on the first np.unique call and costs a process
+    # about 12 ms; the geometry checks need neither
+    then = (
+        "prmw.cli.main(['verify', '--q', '2', '--n', '3', '--d', '3', '--out', os.devnull]); "
+        "prmw.cli.main(['witness', '--q', '2', '--n', '3', '--poly', 'X0*X3+X1*X2', "
+        "'--out', os.devnull])"
+    )
+    assert _import_in_fresh_interpreter(None, then)[3] is False

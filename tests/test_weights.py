@@ -188,7 +188,8 @@ class TestWitnesses:
         assert len(at_w1) == 3 and len(at_w2) == 3
         assert len(at_w1) + len(at_w2) == len(rep.witnesses)
         for wit in rep.witnesses:
-            assert codeword_support(code, [wit.message]) == [wit.support]
+            (row,) = codeword_support(code, [wit.message])
+            assert tuple(np.flatnonzero(row).tolist()) == wit.support
 
     def test_smallest_messages_chosen(self):
         # RM(2,1) over GF(2) has exactly six weight-2 words; the three
@@ -316,13 +317,14 @@ class TestProjectiveVsAffineNextWeight:
 class TestSupports:
     def test_zero_message(self):
         code = build(CodeParams("prm", 2, 2, 2))
-        assert codeword_support(code, [[0] * 6]) == [()]
+        assert codeword_support(code, [[0] * 6]).tolist() == [[False] * code.length]
 
     def test_single_row(self):
         code = build(CodeParams("prm", 2, 2, 2))
         msg = [1] + [0] * 5
         expected = tuple(int(i) for i in np.nonzero(code.gen[0])[0])
-        assert codeword_support(code, [msg]) == [expected]
+        (row,) = codeword_support(code, [msg])
+        assert tuple(np.flatnonzero(row).tolist()) == expected
 
     def test_length_mismatch(self):
         code = build(CodeParams("prm", 2, 2, 2))
@@ -331,7 +333,8 @@ class TestSupports:
 
     def test_empty_batch(self):
         code = build(CodeParams("prm", 3, 2, 2))
-        assert codeword_support(code, np.zeros((0, code.dimension), dtype=np.int64)) == []
+        empty = codeword_support(code, np.zeros((0, code.dimension), dtype=np.int64))
+        assert empty.shape == (0, code.length)
 
     def test_one_message_not_a_batch(self):
         code = build(CodeParams("prm", 2, 2, 2))
@@ -358,7 +361,9 @@ class TestSupports:
             tuple(j for j, v in enumerate(((np.array(m) @ code.gen) % q).tolist()) if v)
             for m in msgs
         ]
-        assert codeword_support(code, batch) == expected
+        supports = codeword_support(code, batch)
+        assert supports.shape == (rows, code.length)
+        assert [tuple(np.flatnonzero(row).tolist()) for row in supports] == expected
 
     def test_report_collects_witness_supports_once(self, monkeypatch):
         calls = []
