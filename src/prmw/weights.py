@@ -3,47 +3,73 @@
 Produces the exact full weight distribution, the minimum and
 next-to-minimal weights, and witness codewords.
 
-The counting pass enumerates whichever of the code and its dual has
+The counting pass starts from whichever of the code and its dual has
 the strictly smaller dimension.  For a code of length N and dimension
 k with N - k < k, the dual generator is the kernel of the generator
-matrix; its distribution B is counted and the code's distribution is
+matrix; its distribution B is found and the code's distribution is
 recovered exactly by the MacWilliams identity
 
     A_j = q^-(N-k) * sum_i B_i * K_j(i; N, q)
 
 in Python integers, with K_j the Krawtchouk polynomials
 (MacWilliams-Sloane, The Theory of Error-Correcting Codes, ch. 5).
-Otherwise, the tie N - k = k included, the code itself is counted.
-The report's ``side`` ("primal" or "dual") names the side counted and
-``codewords_scanned`` is what that counting pass visited.  Near
-k = N/2 nothing is gained, e.g. PRM(2,3)/GF(5) (k = 10, N = 31) and
-PRM(3,3)/GF(3) (k = 20, N = 40), timed with the q > 2 kernel below.
-The budget caps the code's own q^k whichever side is counted, since
-the witness pass searches the code.
+Otherwise, the tie N - k = k included, the code itself is used.  The
+report's ``side`` ("primal" or "dual") names the side chosen.  The
+budget caps the code's own q^k whichever side is counted, since the
+witness pass searches the code.
+
+That side, of dimension k', is not enumerated itself but shortened on
+two points: its subcode vanishing on coordinates 0 and 1, of dimension
+k' - 2, is counted.  RM(n, d) is invariant under AGL(n, q) and PRM(n, d)
+under PGL(n+1, q), which acts on the standard representatives by
+monomial maps (permute the points, scale the values); both groups are
+2-transitive on the points (Delsarte-Goethals-MacWilliams 1970;
+Sorensen, "Projective Reed-Muller codes", 1991), and a dual has the
+same group.  So every ordered pair of distinct coordinates has the same
+number S_w of weight-w codewords vanishing on both, and counting pairs
+(codeword, pair of its zeros) two ways gives
+
+    A_w * (N-w)(N-w-1) = N(N-1) * S_w      for w <= N - 2;
+
+A_(N-1) and A_N follow from sum A_w = q^k' and sum w*A_w =
+N(q-1)q^(k'-1), which holds because no coordinate is zero on the whole
+code.  A non-integral or negative A_w, or a subcode count other than
+q^(k'-2), raises: a code without such a group breaks these checks.
+When columns 0 and 1 of the side's generator are dependent (e.g.
+RM(n, 0), or a side of dimension below 2) the side is counted whole.  The report's
+``transform`` names the steps from the count to the distribution
+("none", "macwilliams", "two-point" or "two-point+macwilliams") and
+``codewords_scanned`` is what the counting pass visited.  On a 2-vCPU
+VM PRM(3,3)/GF(3) counts the 193,710,245 classes of its shortened
+[40,18] subcode in about 2 s.
 
 Each field size has one block kernel; both yield blocks
 ``(m0, step, weights)``, weights[i] the weight of message m0 + step*i,
 in streams of ascending message order, read by one counting loop and
-one witness search.
+one witness search.  Both kernels fill their table by doubling, and a
+stream's first block comes as the doubling's new slices in ascending
+message order: message 0, then after step j the messages whose highest
+table digit is j, [q^j, q^(j+1)).  A count does the same work either
+way; a witness search whose hits are small stops after a few tiny
+slices instead of a whole block.
 
-q = 2: a doubling table holds the packed codewords of all messages over
-the low b = min(k, 20) message bits; each block of 2^b messages is that
+q = 2: the table holds the packed codewords of all messages over the
+low b = min(k, 20) message bits; each block of 2^b messages is that
 table XOR-ed with the codeword of the block's high bits, popcounted with
 numpy.  A count of more than one block splits the blocks into
 contiguous streams, one per CPU the process may use, run on threads;
-partial counts merge by addition, so results do not depend on the split.
+the table is then filled before they start, and partial counts merge by
+addition, so results do not depend on the split.
 
 q > 2: exactly one codeword per scalar class is enumerated (messages
 whose lowest nonzero digit is 1) and nonzero counts are multiplied by
 q - 1.  Lead L's stream holds q^L + q^(L+1)*r for r ascending, with
 codeword g_L + r*G[L+1:].  A uint8 table T holds the codewords of the
-low b digits of r (built by q-ary doubling, at most 4 MB), and each
-block of q^b consecutive r adds the codeword ``base`` of the lead and
-the high digits of r.  A coordinate of T[s] + base is zero exactly
-where T[s] equals -base mod q, so a block's weights are one byte
-comparison per coordinate: no reduction mod q and no matrix product.
-On a 2-vCPU VM PRM(2,3)/GF(5) (2,441,407 classes) counts in about
-0.07 s and PRM(3,3)/GF(3) (1.74e9 classes) in about 18 s.
+low b digits of r (at most 4 MB), and each block of q^b consecutive r
+adds the codeword ``base`` of the lead and the high digits of r.  A
+coordinate of T[s] + base is zero exactly where T[s] equals -base mod
+q, so a block's weights are one byte comparison per coordinate: no
+reduction mod q and no matrix product.
 
 Witnesses are canonical: the up-to-K codewords of each extreme weight
 with the smallest message values (sum_i m_i * q^i) among the enumerated
@@ -95,6 +121,9 @@ class WeightReport:
     length: int
     dimension: int
     side: str  # "primal" or "dual": the code whose codewords were counted
+    # how the count became the distribution: "none", "macwilliams",
+    # "two-point" or "two-point+macwilliams"
+    transform: str
     codewords_scanned: int
     min_weight: int
     next_weight: int | None
@@ -120,7 +149,12 @@ def codeword_support(code: Code, messages) -> np.ndarray:
 
 
 def weight_report(code: Code, budget: int | None = None) -> WeightReport:
-    """Exact weight distribution with extreme-weight witnesses."""
+    """Exact weight distribution with extreme-weight witnesses.
+
+    ``code`` is an RM or PRM code, or any code whose monomial
+    automorphisms act 2-transitively on its coordinates (see the module
+    docstring); on another code the two-point transform is not exact,
+    and its checks raise RuntimeError when they catch that."""
     budget = DEFAULT_BUDGET if budget is None else budget
     q = code.params.q
     dim = code.dimension
@@ -137,10 +171,19 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
         side, gen = "dual", nullspace(code.gen, code.gf)
     else:
         side, gen = "primal", code.gen
-    counts, scanned = _counts(gen, q)
+    # the words of the counted side that vanish on coordinates 0 and 1:
+    # dimension k - 2 unless those columns of its generator are dependent
+    short = nullspace(gen[:, :2].T, code.gf)
+    shortened = short.shape[0] == gen.shape[0] - 2
+    counts, scanned = _counts((short @ gen) % q if shortened else gen, q)
     counts = [int(c) for c in counts]
+    transforms = []
+    if shortened:
+        counts = _two_point(counts, q, gen.shape[0])
+        transforms.append("two-point")
     if side == "dual":
         counts = _macwilliams(counts, q, dim)
+        transforms.append("macwilliams")
     elif sum(counts) != total:
         raise RuntimeError(f"weight distribution has {sum(counts)} codewords, not {q}^{dim}")
     if counts[0] != 1:
@@ -162,6 +205,7 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
         length=length,
         dimension=dim,
         side=side,
+        transform="+".join(transforms) or "none",
         codewords_scanned=scanned,
         min_weight=w1,
         next_weight=w2,
@@ -169,6 +213,33 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
         witnesses=witnesses,
         elapsed_ms=elapsed_ms,
     )
+
+
+def _two_point(short_counts: list[int], q: int, dim: int) -> list[int]:
+    """Weight distribution of a code of length N and dimension ``dim``
+    whose monomial automorphisms act 2-transitively on the coordinates,
+    from ``short_counts[w]`` = S_w, the number of weight-w codewords
+    vanishing on coordinates 0 and 1 (a subcode of dimension dim - 2):
+    A_w * (N-w)(N-w-1) = N(N-1) * S_w for w <= N-2, and A_(N-1), A_N from
+    sum A_w = q^dim and sum w*A_w = N(q-1)q^(dim-1), exactly."""
+    length = len(short_counts) - 1
+    if sum(short_counts) != q ** (dim - 2):
+        raise RuntimeError(
+            f"two-point shortened code has {sum(short_counts)} codewords, not {q}^{dim - 2}"
+        )
+    counts = []
+    for w, s in enumerate(short_counts[: length - 1]):
+        a, r = divmod(length * (length - 1) * s, (length - w) * (length - w - 1))
+        if r:
+            raise RuntimeError(f"two-point transform for weight {w} is not an integer")
+        counts.append(a)
+    rest = q**dim - sum(counts)  # A_(N-1) + A_N
+    moment = length * (q - 1) * q ** (dim - 1) - sum(w * a for w, a in enumerate(counts))
+    counts += [length * rest - moment, moment - (length - 1) * rest]
+    for w, a in enumerate(counts):
+        if a < 0:
+            raise RuntimeError(f"two-point transform gives {a} codewords of weight {w}")
+    return counts
 
 
 def _macwilliams(dual_counts: list[int], q: int, dim: int) -> list[int]:
@@ -226,21 +297,33 @@ def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
     return [(q**lead, _class_blocks(gen, q, lead)) for lead in range(gen.shape[0])]
 
 
-def _low_table(rows: np.ndarray, bbits: int) -> np.ndarray:
-    """table[m] = packed codeword of message m over the first bbits rows."""
-    table = np.zeros((1 << bbits, rows.shape[1]), dtype=np.uint64)
-    for j in range(bbits):
-        table[1 << j : 2 << j] = table[: 1 << j] ^ rows[j]
-    return table
+def _low_table(table: np.ndarray, rows: np.ndarray):
+    """Fill table[m] with the packed codeword of message m over ``rows``
+    by doubling, yielding each message range [lo, hi) once it is filled:
+    [0, 1), then [2^j, 2^(j+1)) after step j."""
+    yield 0, 1
+    for j, row in enumerate(rows):
+        table[1 << j : 2 << j] = table[: 1 << j] ^ row
+        yield 1 << j, 2 << j
 
 
 def _bit_streams(gen: np.ndarray, parts: int) -> list:
     """q = 2: blocks of the messages h*2^b + i, i = 0..2^b - 1, for the
-    high bits h in up to ``parts`` contiguous ranges sharing one table."""
+    high bits h in up to ``parts`` contiguous ranges sharing one table.
+    Block h = 0 comes as the table's doubling slices while it is filled;
+    several streams run on threads, so then it is filled first."""
     rows = pack_bits(gen)
     dim = gen.shape[0]
     bbits = min(dim, _BLOCK_BITS)
-    table = _low_table(rows, bbits)
+    table = np.zeros((1 << bbits, rows.shape[1]), dtype=np.uint64)
+    whole = [(0, 1 << bbits)]
+    first = _low_table(table, rows[:bbits])
+    nblocks = 1 << (dim - bbits)
+    parts = min(parts, nblocks)
+    if parts > 1:
+        for _ in first:
+            pass
+        first = whole
 
     def blocks(h_lo: int, h_hi: int):
         for h in range(h_lo, h_hi):
@@ -248,26 +331,28 @@ def _bit_streams(gen: np.ndarray, parts: int) -> list:
             for j in range(dim - bbits):
                 if h >> j & 1:
                     base ^= rows[bbits + j]
-            yield h << bbits, 1, np.bitwise_count(table ^ base).sum(axis=1, dtype=np.int64)
+            for lo, hi in first if h == 0 else whole:
+                w = np.bitwise_count(table[lo:hi] ^ base).sum(axis=1, dtype=np.int64)
+                yield h << bbits | lo, 1, w
 
-    nblocks = 1 << (dim - bbits)
-    parts = min(parts, nblocks)
     bounds = [nblocks * i // parts for i in range(parts + 1)]
     return [(lo << bbits, blocks(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _digit_table(rows: np.ndarray, q: int) -> np.ndarray:
-    """table[:, s] = sum_j s_j * rows[j] mod q, with s_j digit j of s in
+def _digit_table(table: np.ndarray, rows: np.ndarray, q: int):
+    """Fill table[:, s] with sum_j s_j * rows[j] mod q, s_j digit j of s in
     base q: the codewords of all q^b messages over the b ``rows``, one per
-    column, built by q-ary doubling.  Before the reduction an entry is at
-    most (q-1) + (q-1)^2 = q(q-1) <= 156, so uint8 holds it."""
-    table = np.zeros((rows.shape[1], q ** rows.shape[0]), dtype=np.uint8)
+    column, by q-ary doubling, yielding each range of s [lo, hi) once it
+    is filled: [0, 1), then [q^j, q^(j+1)) after step j.  Before the
+    reduction an entry is at most (q-1) + (q-1)^2 = q(q-1) <= 156, so
+    uint8 holds it."""
+    yield 0, 1
     step = 1
     for g in rows.astype(np.uint8):
         for i in range(1, q):
             table[:, i * step : (i + 1) * step] = (table[:, :step] + (i * g)[:, None]) % q
+        yield step, q * step
         step *= q
-    return table
 
 
 def _class_blocks(gen: np.ndarray, q: int, lead: int):
@@ -275,13 +360,16 @@ def _class_blocks(gen: np.ndarray, q: int, lead: int):
     nonzero digit is a 1 at position ``lead``: the messages
     q^lead + q^(lead+1)*r, codewords g_lead + r*G[lead+1:], for r
     ascending.  A block holds q^b consecutive r, whose low b digits index
-    a table of at most _TABLE_BYTES bytes."""
+    a table of at most _TABLE_BYTES bytes; the first block comes as the
+    table's doubling slices while it is filled."""
     dim, length = gen.shape
     free = dim - lead - 1
     b = 0
     while b < free and q ** (b + 1) * length <= _TABLE_BYTES:
         b += 1
-    table = _digit_table(gen[lead + 1 : lead + 1 + b], q)
+    table = np.zeros((length, q**b), dtype=np.uint8)
+    whole = [(0, q**b)]
+    first = _digit_table(table, gen[lead + 1 : lead + 1 + b], q)
     high = gen[lead + 1 + b :]
     wtype = np.min_scalar_type(length)  # uint8 unless N > 255
     step = q ** (lead + 1)
@@ -291,8 +379,9 @@ def _class_blocks(gen: np.ndarray, q: int, lead: int):
         # coordinate c of table[:, s] + base is zero exactly where
         # table[c, s] == -base_c: one byte comparison, no reduction mod q
         neg = (-base % q).astype(np.uint8)
-        w = (table != neg[:, None]).view(np.uint8).sum(axis=0, dtype=wtype)
-        yield q**lead + step * h * q**b, step, w
+        for lo, hi in first if h == 0 else whole:
+            w = (table[:, lo:hi] != neg[:, None]).view(np.uint8).sum(axis=0, dtype=wtype)
+            yield q**lead + step * (h * q**b + lo), step, w
 
 
 # -- counting and witness search ---------------------------------------------------
@@ -398,6 +487,7 @@ def report_to_json(report: WeightReport) -> str:
         ],
         "scanned": report.codewords_scanned,
         "side": report.side,
+        "transform": report.transform,
         "elapsed_ms": report.elapsed_ms,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

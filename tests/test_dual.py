@@ -79,6 +79,7 @@ def test_report_matches_primal_enumeration(family, q, n, d):
     rep = weight_report(code)
     expected_side = "dual" if code.length - code.dimension < code.dimension else "primal"
     assert rep.side == expected_side
+    assert rep.transform.endswith("macwilliams") == (expected_side == "dual")
     assert rep.weight_counts == _as_dict(_kernel_counts(code.gen, q))
     if q**code.dimension <= NAIVE_LIMIT:
         assert rep.weight_counts == naive_weight_counts(code)
@@ -147,6 +148,41 @@ class TestTransformInvariants:
         # B = (1, 3, 0) over GF(2), N = 2, k = 1 transforms to (2, 1, -1)
         with pytest.raises(RuntimeError, match="gives -1 codewords"):
             W._macwilliams([1, 3, 0], 2, 1)
+
+
+class TestTwoPoint:
+    # the two-point transform is exact only for codes whose group is
+    # 2-transitive on the points; RM and PRM are checked against the
+    # unshortened count by test_report_matches_primal_enumeration
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_random_code_breaks_checks(self, q):
+        # a random [10,4] code has no 2-transitive group: the shortened
+        # count does not transform to integers
+        gen = np.random.default_rng(1).integers(0, q, size=(4, 10))
+        red, rank, _ = rref(gen, GF(q))
+        code = _matrix_code(red[:rank], q)
+        assert rank == 4
+        with pytest.raises(RuntimeError, match="two-point transform for weight 3 is not an integer"):
+            weight_report(code)
+
+    def test_negative_count_raises(self):
+        # S = (1, 0, 0, 0, 0) over GF(2), N = 4, k = 2: A_0..A_2 = (1, 0, 0),
+        # then A_3 = 4 and A_4 = -1
+        with pytest.raises(RuntimeError, match="gives -1 codewords of weight 4"):
+            W._two_point([1, 0, 0, 0, 0], 2, 2)
+
+    def test_dependent_columns_counted_unshortened(self):
+        # column 1 is twice column 0: every codeword vanishing on
+        # coordinate 0 vanishes on 1, so the subcode has dimension k - 1
+        gen = np.random.default_rng(2).integers(0, 3, size=(3, 8))
+        gen[:, 1] = 2 * gen[:, 0] % 3
+        red, rank, _ = rref(gen, GF(3))
+        code = _matrix_code(red[:rank], 3)
+        rep = weight_report(code)
+        assert (rep.side, rep.transform) == ("primal", "none")
+        assert rep.codewords_scanned == 1 + (3**rank - 1) // 2
+        assert rep.weight_counts == naive_weight_counts(code)
 
 
 @st.composite

@@ -28,6 +28,22 @@ def counts_of(arr):
     return {i: int(c) for i, c in enumerate(arr) if c}
 
 
+def witness_visits(monkeypatch, code, targets):
+    """The witness pool of ``code`` and the number of messages the
+    search visited: the weights of every block it took, added up."""
+    real = W._streams
+    visited = 0
+
+    def tally(blocks):
+        nonlocal visited
+        for m0, step, w in blocks:
+            visited += len(w)
+            yield m0, step, w
+
+    monkeypatch.setattr(W, "_streams", lambda *a: [(f, tally(it)) for f, it in real(*a)])
+    return W._witnesses(code.gen, code.params.q, targets), visited
+
+
 def naive_witnesses(code, targets):
     """The first WITNESS_CAP binary messages of each target weight, in
     ascending message value, from the full message matrix."""
@@ -50,6 +66,27 @@ class TestDistributions:
         rep = weight_report(build(CodeParams("prm", 2, 2, 2)))
         assert rep.weight_counts == {0: 1, 2: 21, 4: 35, 6: 7}
         assert (rep.min_weight, rep.next_weight) == (2, 4)
+
+    def test_prm_3_3_gf3_frozen(self):
+        # [40,20] code over GF(3), recorded from the unshortened count of
+        # all 1.74e9 scalar classes
+        rep = weight_report(build(CodeParams("prm", 3, 3, 3)))
+        assert rep.weight_counts == {
+            0: 1,
+            9: 1040,
+            12: 18720,
+            15: 1100736,
+            18: 25761840,
+            21: 236377440,
+            24: 908079120,
+            27: 1388750720,
+            30: 783679104,
+            33: 137535840,
+            36: 5468320,
+            39: 11520,
+        }
+        assert (rep.min_weight, rep.next_weight) == (9, 12)
+        assert (rep.side, rep.transform) == ("primal", "two-point")
 
     def test_prm_3_2_gf2(self):
         rep = weight_report(build(CodeParams("prm", 2, 3, 2)))
@@ -107,10 +144,10 @@ class TestDistributions:
 
 
 class TestPrimalInvariants:
-    @pytest.mark.parametrize("family,q,n,d", [("prm", 2, 2, 1), ("rm", 3, 2, 1)])
+    @pytest.mark.parametrize("family,q,n,d", [("prm", 2, 2, 1), ("rm", 3, 2, 1), ("rm", 3, 2, 0)])
     def test_missing_codeword_raises(self, monkeypatch, family, q, n, d):
         # a count that loses one codeword of the top weight: the zero
-        # word is still counted once, but the total is q^k - 1
+        # word is still counted once, but the total is one short
         counting = W._counts
 
         def lossy(*args):
@@ -121,7 +158,13 @@ class TestPrimalInvariants:
 
         monkeypatch.setattr(W, "_counts", lossy)
         code = build(CodeParams(family, q, n, d))
-        with pytest.raises(RuntimeError, match=f"codewords, not {q}\\^{code.dimension}"):
+        k = code.dimension
+        if d == 0:
+            # constant code: columns 0 and 1 are dependent, counted unshortened
+            match = f"weight distribution has {q**k - 1} codewords, not {q}\\^{k}"
+        else:
+            match = f"two-point shortened code has {q ** (k - 2) - 1} codewords, not {q}\\^{k - 2}"
+        with pytest.raises(RuntimeError, match=match):
             weight_report(code)
 
 
@@ -200,23 +243,12 @@ class TestWitnesses:
         assert msgs == [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
 
     def test_cutoff_spans_leads(self, monkeypatch):
-        # PRM(2,6)/GF(5), k = 25: the dual count takes 6 blocks and the
-        # witness search one per lead L with 5^L <= 3905, the largest
-        # witness; scanning one lead until it alone had K hits per weight
-        # would take thousands
-        real = W._class_blocks
-        taken = 0
-
-        def counted(*args):
-            nonlocal taken
-            for block in real(*args):
-                taken += 1
-                if taken > 64:
-                    raise RuntimeError("more than 64 blocks taken")
-                yield block
-
-        monkeypatch.setattr(W, "_class_blocks", counted)
-        rep = weight_report(build(CodeParams("prm", 5, 2, 6)), budget=5**25)
+        # PRM(2,6)/GF(5), k = 25: each lead stops in the doubling slice
+        # that passes 3905, the largest witness; slices grow 5-fold, so
+        # the leads visit about 5/4 * 3905 messages together, where their
+        # whole first blocks (5^7 messages each) visit 468,750
+        code = build(CodeParams("prm", 5, 2, 6))
+        rep = weight_report(code, budget=5**25)
         assert (rep.min_weight, rep.next_weight) == (4, 5)
         values = {
             w: [
@@ -227,7 +259,18 @@ class TestWitnesses:
             for w in (4, 5)
         }
         assert values == {4: [1, 5, 286], 5: [1231, 3371, 3905]}
-        assert taken == 6 + 6
+        pool, visited = witness_visits(monkeypatch, code, [4, 5])
+        assert pool == values
+        assert visited <= 2 * 3905
+
+    def test_binary_search_stops_in_first_slices(self, monkeypatch):
+        # binary PRM(4,4), k = 30: every witness is a message <= 13, so the
+        # search ends in the table's slice [8, 16), not after 2^20 messages
+        code = build(CodeParams("prm", 2, 4, 4))
+        rep = weight_report(code)
+        pool, visited = witness_visits(monkeypatch, code, [rep.min_weight, rep.next_weight])
+        assert max(m for ms in pool.values() for m in ms) <= 13
+        assert visited <= 32
 
     def test_gf3_witnesses_are_class_representatives(self):
         rep = weight_report(build(CodeParams("rm", 3, 2, 1)))
@@ -418,6 +461,7 @@ class TestJson:
             "witnesses",
             "scanned",
             "side",
+            "transform",
             "elapsed_ms",
         }
         assert doc["counts"] == {"0": 1, "2": 6, "4": 1}
@@ -438,8 +482,12 @@ class TestJson:
         assert docs[0] == docs[1]
 
     def test_scanned_counts_physical_enumeration(self):
-        # [15,10] binary code: its 2^5 dual codewords are counted
+        # [15,10] binary code: its [15,5] dual is counted, shortened on two
+        # points to its 2^3 words
         rep2 = weight_report(build(CodeParams("prm", 2, 3, 2)))
-        assert (rep2.side, rep2.codewords_scanned) == ("dual", 2**5)
+        assert (rep2.side, rep2.transform) == ("dual", "two-point+macwilliams")
+        assert rep2.codewords_scanned == 2**3
+        # [9,3] code over GF(3): its shortened [9,1] subcode, in classes
         rep3 = weight_report(build(CodeParams("rm", 3, 2, 1)))
-        assert (rep3.side, rep3.codewords_scanned) == ("primal", (3**3 - 1) // 2 + 1)
+        assert (rep3.side, rep3.transform) == ("primal", "two-point")
+        assert rep3.codewords_scanned == (3**1 - 1) // 2 + 1
