@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -94,16 +93,6 @@ def _parse_range(spec: str, n: int | None = None) -> list[int]:
     if hi < lo:
         return []
     return list(range(lo, hi + 1))
-
-
-def _default_budget() -> int:
-    env = os.environ.get("PRMW_BUDGET")
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise DomainError(f"PRMW_BUDGET={env!r} is not an integer") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -387,16 +376,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "match compares brute-force weights with closed forms (for q>2 the "
         "rm W2 is checked for membership in the candidate set; the prm W2 "
         "is reported empirically only; match is empty where nothing is "
-        "asserted, as for rm d=0 and prm d=1). Environment: PRMW_BUDGET overrides "
-        "the default codeword budget.",
+        "asserted, as for rm d=0 and prm d=1).",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_family=True):
-        if with_family:
+    def common(p, grid=True):
+        if grid:
             p.add_argument("--family", choices=[RM, PRM], default=PRM)
+            budget_help = f"most messages a weight count or witness search may visit, default {DEFAULT_BUDGET}"
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget_help)
         p.add_argument("--q", type=int, required=True, help="field size (prime)")
-        p.add_argument("--budget", type=int, default=None, help=f"codeword cap, default {DEFAULT_BUDGET}")
         p.add_argument("--format", dest="fmt", choices=["text", "csv", "json"], default="text")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -411,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--d", required=True)
 
     pw = sub.add_parser("witness", help="weight and geometry report for one polynomial")
-    common(pw, with_family=False)
+    common(pw, grid=False)
     pw.add_argument("--n", required=True, help="projective dimension (single value)")
     pw.add_argument("--poly", required=True, help="homogeneous polynomial in X0..Xn")
     return ap
@@ -425,7 +414,7 @@ def main(argv=None) -> int:
             q=args.q,
             n_values=_parse_range(args.n),
             d_spec=getattr(args, "d", "1"),
-            budget=args.budget if args.budget is not None else _default_budget(),
+            budget=getattr(args, "budget", DEFAULT_BUDGET),
             fmt=args.fmt,
             out=args.out,
         )

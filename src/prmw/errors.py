@@ -6,7 +6,9 @@ class DomainError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed its point / codeword / subspace cap.
+    """An enumeration would exceed its point / message / subspace cap.
 
-    The message always names the budget that would be required.
+    The message names the budget that would be required, except for a
+    witness search, whose length is not known ahead: it names the budget
+    it passed.
     """

@@ -82,15 +82,15 @@ def _subspace(forms: np.ndarray, incidence: np.ndarray) -> Subspace:
 
 
 @lru_cache(maxsize=None)
-def _subspaces(n: int, q: int, s: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _subspaces(n: int, q: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """The forms (subspaces x forms x n+1) of the dimension-s subspaces
     in enumeration order and their incidence matrix, row i holding the
     points of subspace i; ``_subspace(forms[i], inc[i])`` is subspace i."""
     count = gaussian_binomial(n + 1, s + 1, q)
-    if count > cap:
+    if count > SUBSPACE_ENUM_CAP:
         raise BudgetExceeded(
             f"enumerating dimension-{s} subspaces of P^{n}(GF({q})) "
-            f"needs {count} subspaces, cap is {cap}"
+            f"needs {count} subspaces, cap is {SUBSPACE_ENUM_CAP}"
         )
     rows_n = s + 1
     cols = n + 1
@@ -120,13 +120,11 @@ def _subspaces(n: int, q: int, s: int, cap: int) -> tuple[np.ndarray, np.ndarray
     return forms, inc
 
 
-def enumerate_subspaces(
-    n: int, gf: GF, s: int, cap: int = SUBSPACE_ENUM_CAP
-) -> list[Subspace]:
+def enumerate_subspaces(n: int, gf: GF, s: int) -> list[Subspace]:
     """All projective dimension-s subspaces of P^n(GF(q)), each once."""
     if not 0 <= s <= n - 1:
         raise DomainError(f"subspace dimension s={s} outside [0, {n - 1}]")
-    return list(map(_subspace, *_subspaces(n, gf.q, s, cap)))
+    return list(map(_subspace, *_subspaces(n, gf.q, s)))
 
 
 def subspace_from_forms(forms, n: int, gf: GF) -> Subspace:
@@ -176,12 +174,12 @@ def _meets(rows: np.ndarray, inc: np.ndarray) -> np.ndarray:
     return rows @ inc.T.astype(np.float32)
 
 
-def _first_avoiders(rows: np.ndarray, n: int, q: int, r: int, cap: int) -> list[Subspace | None]:
+def _first_avoiders(rows: np.ndarray, n: int, q: int, r: int) -> list[Subspace | None]:
     if not 0 <= r <= n - 1:
         raise DomainError(f"subspace dimension r={r} outside [0, {n - 1}]")
     if not rows.any(axis=1).all():
         raise DomainError("support is empty")
-    forms, inc = _subspaces(n, q, r, cap)
+    forms, inc = _subspaces(n, q, r)
     avoids = _meets(rows, inc) == 0
     first = np.where(avoids.any(axis=1), avoids.argmax(axis=1), -1).tolist()
     # one object per distinct avoider; -1 (none) maps to None
@@ -189,17 +187,13 @@ def _first_avoiders(rows: np.ndarray, n: int, q: int, r: int, cap: int) -> list[
     return [subs.get(j) for j in first]
 
 
-def find_avoiding_subspace(
-    supports, n: int, gf: GF, r: int, cap: int = SUBSPACE_ENUM_CAP
-) -> list[Subspace | None]:
+def find_avoiding_subspace(supports, n: int, gf: GF, r: int) -> list[Subspace | None]:
     """For each support of the batch, the first dimension-r subspace
     (enumeration order) disjoint from it, or None if every one meets it."""
-    return _first_avoiders(_support_rows(supports, n, gf.q), n, gf.q, r, cap)
+    return _first_avoiders(_support_rows(supports, n, gf.q), n, gf.q, r)
 
 
-def find_avoiding_subspace_at_least(
-    supports, n: int, gf: GF, rmin: int, cap: int = SUBSPACE_ENUM_CAP
-) -> list[Subspace | None]:
+def find_avoiding_subspace_at_least(supports, n: int, gf: GF, rmin: int) -> list[Subspace | None]:
     """For each support of the batch, the first avoiding subspace of the
     highest dimension >= rmin that has one, or None."""
     rows = _support_rows(supports, n, gf.q)
@@ -208,7 +202,7 @@ def find_avoiding_subspace_at_least(
     for r in range(n - 1, rmin - 1, -1):
         if not pending.size:
             break
-        hits = _first_avoiders(rows[pending], n, gf.q, r, cap)
+        hits = _first_avoiders(rows[pending], n, gf.q, r)
         for i, sub in zip(pending.tolist(), hits):
             found[i] = sub
         pending = pending[[sub is None for sub in hits]]
@@ -224,9 +218,7 @@ class BoundViolation:
     required: int
 
 
-def check_subspace_bounds(
-    supports, params: CodeParams, dims=None, cap: int = SUBSPACE_ENUM_CAP
-) -> list[BoundViolation]:
+def check_subspace_bounds(supports, params: CodeParams, dims=None) -> list[BoundViolation]:
     """Verify the intersection lower bound on every linear subspace:
     a support either misses a subspace or meets it in at least the
     minimum weight of the projective code of that dimension.  Returns
@@ -244,7 +236,7 @@ def check_subspace_bounds(
     violations = []
     for s in dims:
         required = w1_prm(s, d, q)
-        forms, inc = _subspaces(n, q, s, cap)
+        forms, inc = _subspaces(n, q, s)
         meets = _meets(rows, inc)
         flat = np.flatnonzero((meets > 0) & (meets < required))
         sizes = meets.ravel()[flat].astype(np.int64).tolist()
@@ -276,7 +268,7 @@ def zero_set_is_hyperplane_union(f: Poly, n: int, gf: GF) -> HyperplaneCover:
     support = list(projective_support(f, n, gf))
     if not support:
         raise DomainError("polynomial vanishes everywhere")
-    forms, inc = _subspaces(n, gf.q, n - 1, SUBSPACE_ENUM_CAP)
+    forms, inc = _subspaces(n, gf.q, n - 1)
     contained = ~inc[:, support].any(axis=1)
     covered = inc[contained].any(axis=0)
     covered[support] = True

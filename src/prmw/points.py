@@ -33,19 +33,17 @@ def projective_size(n: int, q: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
 
 
-def affine_points(n: int, gf: GF, cap: int = POINT_ENUM_CAP) -> list[Point]:
+def affine_points(n: int, gf: GF) -> list[Point]:
     """All q^n points of affine n-space, ascending lexicographic."""
     if n < 1:
         raise DomainError(f"affine dimension n={n} must be >= 1")
     size = affine_size(n, gf.q)
-    if size > cap:
-        raise BudgetExceeded(
-            f"affine enumeration needs {size} points, cap is {cap}"
-        )
+    if size > POINT_ENUM_CAP:
+        raise BudgetExceeded(f"affine enumeration needs {size} points, cap is {POINT_ENUM_CAP}")
     return list(product(gf.elements(), repeat=n))
 
 
-def projective_points(n: int, gf: GF, cap: int = POINT_ENUM_CAP) -> list[Point]:
+def projective_points(n: int, gf: GF) -> list[Point]:
     """All N = (q^(n+1)-1)/(q-1) standard representatives of P^n(GF(q)).
 
     Points with first nonzero coordinate at index i are exactly
@@ -55,10 +53,8 @@ def projective_points(n: int, gf: GF, cap: int = POINT_ENUM_CAP) -> list[Point]:
     if n < 1:
         raise DomainError(f"projective dimension n={n} must be >= 1")
     size = projective_size(n, gf.q)
-    if size > cap:
-        raise BudgetExceeded(
-            f"projective enumeration needs {size} points, cap is {cap}"
-        )
+    if size > POINT_ENUM_CAP:
+        raise BudgetExceeded(f"projective enumeration needs {size} points, cap is {POINT_ENUM_CAP}")
     pts: list[Point] = []
     for i in range(n, -1, -1):
         zeros = (0,) * i

@@ -14,9 +14,7 @@ recovered exactly by the MacWilliams identity
 in Python integers, with K_j the Krawtchouk polynomials
 (MacWilliams-Sloane, The Theory of Error-Correcting Codes, ch. 5).
 Otherwise, the tie N - k = k included, the code itself is used.  The
-report's ``side`` ("primal" or "dual") names the side chosen.  The
-budget caps the code's own q^k whichever side is counted, since the
-witness pass searches the code.
+report's ``side`` ("primal" or "dual") names the side chosen.
 
 That side, of dimension k', is not enumerated itself but shortened on
 two points: its subcode vanishing on coordinates 0 and 1, of dimension
@@ -43,6 +41,11 @@ RM(n, 0), or a side of dimension below 2) the side is counted whole.  The report
 VM PRM(3,3)/GF(3) counts the 193,710,245 classes of its shortened
 [40,18] subcode in about 2 s.
 
+The budget caps the messages a pass visits.  A report whose count would
+visit more than the budget refuses before it starts and names the count
+as the budget it needs; the witness search, which walks the code itself
+and cannot know its length ahead, raises once it has visited more.
+
 Each field size has one block kernel; both yield blocks
 ``(m0, step, weights)``, weights[i] the weight of message m0 + step*i,
 in streams of ascending message order, read by one counting loop and
@@ -51,12 +54,13 @@ stream's first block comes as the doubling's new slices in ascending
 message order: message 0, then after step j the messages whose highest
 table digit is j, [q^j, q^(j+1)).  A count does the same work either
 way; a witness search whose hits are small stops after a few tiny
-slices instead of a whole block.
+slices instead of a whole block.  A table holds the codewords of all
+messages over the low b message digits, b the largest (at most k) for
+which it fits in _TABLE_BYTES (4 MB).
 
-q = 2: the table holds the packed codewords of all messages over the
-low b = min(k, 20) message bits; each block of 2^b messages is that
-table XOR-ed with the codeword of the block's high bits, popcounted with
-numpy.  A count of more than one block splits the blocks into
+q = 2: the table holds packed codewords; each block of 2^b messages is
+that table XOR-ed with the codeword of the block's high bits, popcounted
+with numpy.  A count of more than one block splits the blocks into
 contiguous streams, one per CPU the process may use, run on threads;
 the table is then filled before they start, and partial counts merge by
 addition, so results do not depend on the split.
@@ -65,8 +69,8 @@ q > 2: exactly one codeword per scalar class is enumerated (messages
 whose lowest nonzero digit is 1) and nonzero counts are multiplied by
 q - 1.  Lead L's stream holds q^L + q^(L+1)*r for r ascending, with
 codeword g_L + r*G[L+1:].  A uint8 table T holds the codewords of the
-low b digits of r (at most 4 MB), and each block of q^b consecutive r
-adds the codeword ``base`` of the lead and the high digits of r.  A
+low b digits of r, and each block of q^b consecutive r adds the
+codeword ``base`` of the lead and the high digits of r.  A
 coordinate of T[s] + base is zero exactly where T[s] equals -base mod
 q, so a block's weights are one byte comparison per coordinate: no
 reduction mod q and no matrix product.
@@ -103,9 +107,7 @@ from .errors import BudgetExceeded, DomainError
 DEFAULT_BUDGET = 1 << 32
 WITNESS_CAP = 3
 
-# q = 2: message bits per block of the doubling table (2^20 packed codewords)
-_BLOCK_BITS = 20
-# q > 2: byte size cap of the low-digit table
+# byte size cap of either kernel's low-digit table
 _TABLE_BYTES = 1 << 22
 
 
@@ -156,16 +158,9 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
     docstring); on another code the two-point transform is not exact,
     and its checks raise RuntimeError when they catch that."""
     budget = DEFAULT_BUDGET if budget is None else budget
+    t0 = time.perf_counter()
     q = code.params.q
     dim = code.dimension
-    total = q**dim
-    if total > budget:
-        raise BudgetExceeded(
-            f"{code.params.family}(n={code.params.n}, d={code.params.d}) over GF({q}) "
-            f"has q^dimension = {q}^{dim} = {total} codewords; needs budget {total}, "
-            f"budget is {budget}"
-        )
-    t0 = time.perf_counter()
     length = code.length
     if length - dim < dim:
         side, gen = "dual", nullspace(code.gen, code.gf)
@@ -175,8 +170,16 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
     # dimension k - 2 unless those columns of its generator are dependent
     short = nullspace(gen[:, :2].T, code.gf)
     shortened = short.shape[0] == gen.shape[0] - 2
-    counts, scanned = _counts((short @ gen) % q if shortened else gen, q)
-    counts = [int(c) for c in counts]
+    counted = (short @ gen) % q if shortened else gen
+    k = counted.shape[0]
+    # the messages the count visits: for q > 2 one per scalar class
+    scanned = 1 << k if q == 2 else 1 + (q**k - 1) // (q - 1)
+    if scanned > budget:
+        raise BudgetExceeded(
+            f"{code.params.family}(n={code.params.n}, d={code.params.d}) over GF({q}) "
+            f"counts {scanned} messages; needs budget {scanned}, budget is {budget}"
+        )
+    counts = [int(c) for c in _counts(counted, q)]
     transforms = []
     if shortened:
         counts = _two_point(counts, q, gen.shape[0])
@@ -184,7 +187,7 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
     if side == "dual":
         counts = _macwilliams(counts, q, dim)
         transforms.append("macwilliams")
-    elif sum(counts) != total:
+    elif sum(counts) != q**dim:
         raise RuntimeError(f"weight distribution has {sum(counts)} codewords, not {q}^{dim}")
     if counts[0] != 1:
         raise RuntimeError(f"weight distribution has {counts[0]} zero codewords, not 1")
@@ -195,7 +198,7 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
     w1 = nonzero[0]
     w2 = nonzero[1] if len(nonzero) > 1 else None
     targets = [w1] if w2 is None else [w1, w2]
-    pool = _witnesses(code.gen, q, targets)
+    pool = _witnesses(code.gen, q, targets, budget)
     messages = [_unpack_message(m, dim, q) for w in targets for m in pool[w]]
     supports = codeword_support(code, messages)
     witnesses = [Witness(m, tuple(np.flatnonzero(s).tolist())) for m, s in zip(messages, supports)]
@@ -297,6 +300,15 @@ def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
     return [(q**lead, _class_blocks(gen, q, lead)) for lead in range(gen.shape[0])]
 
 
+def _table_digits(q: int, row_bytes: int, free: int) -> int:
+    """The most low digits b <= free whose table, q^b rows of
+    ``row_bytes`` bytes, fits in _TABLE_BYTES."""
+    b = 0
+    while b < free and q ** (b + 1) * row_bytes <= _TABLE_BYTES:
+        b += 1
+    return b
+
+
 def _low_table(table: np.ndarray, rows: np.ndarray):
     """Fill table[m] with the packed codeword of message m over ``rows``
     by doubling, yielding each message range [lo, hi) once it is filled:
@@ -314,7 +326,7 @@ def _bit_streams(gen: np.ndarray, parts: int) -> list:
     several streams run on threads, so then it is filled first."""
     rows = pack_bits(gen)
     dim = gen.shape[0]
-    bbits = min(dim, _BLOCK_BITS)
+    bbits = _table_digits(2, rows.shape[1] * 8, dim)
     table = np.zeros((1 << bbits, rows.shape[1]), dtype=np.uint64)
     whole = [(0, 1 << bbits)]
     first = _low_table(table, rows[:bbits])
@@ -326,14 +338,16 @@ def _bit_streams(gen: np.ndarray, parts: int) -> list:
         first = whole
 
     def blocks(h_lo: int, h_hi: int):
+        buf = np.empty_like(table)  # one work buffer per stream, not one per block
         for h in range(h_lo, h_hi):
             base = np.zeros(table.shape[1], dtype=np.uint64)
             for j in range(dim - bbits):
                 if h >> j & 1:
                     base ^= rows[bbits + j]
             for lo, hi in first if h == 0 else whole:
-                w = np.bitwise_count(table[lo:hi] ^ base).sum(axis=1, dtype=np.int64)
-                yield h << bbits | lo, 1, w
+                x = np.bitwise_xor(table[lo:hi], base, out=buf[lo:hi])
+                np.bitwise_count(x, out=x)
+                yield h << bbits | lo, 1, x.sum(axis=1, dtype=np.int64)
 
     bounds = [nblocks * i // parts for i in range(parts + 1)]
     return [(lo << bbits, blocks(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
@@ -364,9 +378,7 @@ def _class_blocks(gen: np.ndarray, q: int, lead: int):
     table's doubling slices while it is filled."""
     dim, length = gen.shape
     free = dim - lead - 1
-    b = 0
-    while b < free and q ** (b + 1) * length <= _TABLE_BYTES:
-        b += 1
+    b = _table_digits(q, length, free)
     table = np.zeros((length, q**b), dtype=np.uint8)
     whole = [(0, q**b)]
     first = _digit_table(table, gen[lead + 1 : lead + 1 + b], q)
@@ -387,12 +399,12 @@ def _class_blocks(gen: np.ndarray, q: int, lead: int):
 # -- counting and witness search ---------------------------------------------------
 
 
-def _counts(gen: np.ndarray, q: int, workers: int | None = None) -> tuple[np.ndarray, int]:
-    """Weight distribution of the row space of ``gen`` (indexed by weight)
-    and the number of codewords it stands for.  A binary count of more
-    than one block runs its streams on ``workers`` threads, by default
-    one per CPU this process may use; partial counts merge by addition."""
-    dim, length = gen.shape
+def _counts(gen: np.ndarray, q: int, workers: int | None = None) -> np.ndarray:
+    """Weight distribution of the row space of ``gen``, indexed by
+    weight.  A binary count of more than one block runs its streams on
+    ``workers`` threads, by default one per CPU this process may use;
+    partial counts merge by addition."""
+    length = gen.shape[1]
     if workers is None:
         try:
             workers = len(os.sched_getaffinity(0))
@@ -415,17 +427,20 @@ def _counts(gen: np.ndarray, q: int, workers: int | None = None) -> tuple[np.nda
     else:
         partials = map(tally, blocks)
     counts = sum(partials, np.zeros(length + 1, dtype=np.int64))  # q > 2, k = 0: no stream
-    if q == 2:
-        return counts, 1 << dim
-    counts *= q - 1  # each class has q-1 nonzero scalar multiples
-    counts[0] += 1  # the zero codeword
-    return counts, 1 + (q**dim - 1) // (q - 1)
+    if q > 2:
+        counts *= q - 1  # each class has q-1 nonzero scalar multiples
+        counts[0] += 1  # the zero codeword
+    return counts
 
 
-def _witnesses(gen: np.ndarray, q: int, targets: list[int]) -> dict[int, list[int]]:
+def _witnesses(
+    gen: np.ndarray, q: int, targets: list[int], budget: int = DEFAULT_BUDGET
+) -> dict[int, list[int]]:
     """The WITNESS_CAP smallest message values of each target weight
-    among the messages the kernel yields."""
+    among the messages the kernel yields; raises BudgetExceeded once the
+    search has visited more than ``budget`` messages."""
     pool: dict[int, list[int]] = {t: [] for t in targets}
+    visited = 0
 
     def cutoff() -> float:
         # no message above this can enter any target's smallest K
@@ -435,6 +450,9 @@ def _witnesses(gen: np.ndarray, q: int, targets: list[int]) -> dict[int, list[in
         if first > cutoff():
             continue
         for m0, step, w in stream:
+            visited += len(w)
+            if visited > budget:
+                raise BudgetExceeded(f"witness search visited {visited} messages, past budget {budget}")
             # a block is ascending, so its first K hits are its K smallest
             for t in targets:
                 hits = np.flatnonzero(w == t)[:WITNESS_CAP]

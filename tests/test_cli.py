@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from prmw.cli import TABLE_COLUMNS, main
 
 
@@ -53,11 +55,24 @@ class TestTable:
         assert out.splitlines()[0] == ",".join(TABLE_COLUMNS)
 
     def test_budget_exceeded_noted(self, capsys):
-        code, out = run_cli(capsys, "table", "--family", "prm", "--q", "2", "--n", "4", "--d", "3", "--budget", "2048", "--format", "json")
+        # RM(5,2) counts its two-point shortened primal side, 2^14 messages
+        code, out = run_cli(capsys, "table", "--family", "rm", "--q", "2", "--n", "5", "--d", "2", "--budget", "2048", "--format", "json")
         assert code == 2
         row = json.loads(out)[0]
         assert row["w1_brute"] == "" and "budget" in row["note"]
-        assert str(2**25) in row["note"]  # required budget named
+        assert "16384" in row["note"]  # required budget named
+
+    def test_gf5_rows_at_default_budget(self, capsys):
+        # q^k is 5^21 and 5^25, far above the budget; the counts are not
+        code, out = run_cli(capsys, "table", "--q", "5", "--n", "2", "--d", "5..6", "--format", "json")
+        assert code == 0
+        assert [(r["w1_brute"], r["w2_brute"]) for r in json.loads(out)] == [(5, 8), (4, 5)]
+
+    def test_gf7_refusal_names_count(self, capsys):
+        # PRM(2,4)/GF(7) would count 1 + (7^13 - 1)/6 scalar classes
+        code, out = run_cli(capsys, "table", "--q", "7", "--n", "2", "--d", "4", "--format", "json")
+        assert code == 2
+        assert "needs budget 16148168402" in json.loads(out)[0]["note"]
 
     def test_json_byte_identical(self, capsys):
         args = ("table", "--family", "prm", "--q", "2", "--n", "2", "--d", "2", "--format", "json")
@@ -103,12 +118,6 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "d=3 outside [0, 2]" in captured.err
-
-    def test_env_budget_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("PRMW_BUDGET", "2048")
-        code, out = run_cli(capsys, "verify", "--q", "2", "--n", "3", "--d", "3", "--format", "json")
-        assert code == 2
-        assert json.loads(out)["status"] == "budget"
 
     def test_check_failure_exit_1(self, capsys, monkeypatch):
         # sabotage the closed form so the weight match fails
@@ -189,6 +198,17 @@ class TestWitness:
     def test_inhomogeneous_rejected(self, capsys):
         assert main(["witness", "--q", "2", "--n", "2", "--poly", "X0*X1+X2^2"]) == 0
         assert main(["witness", "--q", "2", "--n", "2", "--poly", "X0*X1+X2"]) == 2
+
+    def test_no_budget_option(self, capsys):
+        # witness enumerates no codewords: argparse rejects --budget
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "--q", "2", "--n", "3", "--poly", "X0*X3+X1*X2", "--budget", "5000"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
+    def test_budget_environment_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("PRMW_BUDGET", "abc")
+        assert main(["witness", "--q", "2", "--n", "3", "--poly", "X0*X3+X1*X2"]) == 0
 
 
 class TestConfig:

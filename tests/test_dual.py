@@ -32,8 +32,7 @@ def _instances():
 def _kernel_counts(gen, q):
     """The counting kernel's distribution of the row space of ``gen``,
     as a list indexed by weight."""
-    counts, _ = W._counts(gen, q, 1)
-    return [int(c) for c in counts]
+    return [int(c) for c in W._counts(gen, q, 1)]
 
 
 def _as_dict(counts):
@@ -107,7 +106,7 @@ class TestSideChoice:
     def test_blocked_kernel_on_primal_generator(self, monkeypatch):
         # weight_report counts these through their duals; the blocked
         # q = 2 kernel must still count the code itself
-        monkeypatch.setattr(W, "_BLOCK_BITS", 4)
+        monkeypatch.setattr(W, "_TABLE_BYTES", 2**4 * 8)
         for family, n, d in [("rm", 4, 2), ("prm", 3, 3)]:
             code = build(CodeParams(family, 2, n, d))
             assert _as_dict(_kernel_counts(code.gen, 2)) == naive_weight_counts(code)
@@ -244,7 +243,7 @@ def scrambled_generators(draw, fields, max_length):
 @given(scrambled_generators([3, 5, 7], 12))
 def test_qary_kernel_matches_naive(qgen):
     q, gen = qgen
-    dim, length = gen.shape
+    length = gen.shape[1]
     naive = naive_weight_counts(_matrix_code(gen, q))
     nonzero = sorted(w for w in naive if w)
     targets = nonzero[:2]
@@ -253,9 +252,7 @@ def test_qary_kernel_matches_naive(qgen):
     for table_bytes in (q * length, W._TABLE_BYTES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(W, "_TABLE_BYTES", table_bytes)
-            counts, scanned = W._counts(gen, q)
-            assert _as_dict([int(c) for c in counts]) == naive
-            assert scanned == 1 + (q**dim - 1) // (q - 1)
+            assert _as_dict([int(c) for c in W._counts(gen, q)]) == naive
             assert W._witnesses(gen, q, targets) == _full_scan_witnesses_qp(gen, q, targets)
 
 
@@ -272,16 +269,13 @@ def _full_scan_witnesses_q2(gen, targets):
 @given(scrambled_generators([2], 16))
 def test_binary_kernel_matches_naive(qgen):
     _, gen = qgen
-    dim = gen.shape[0]
     naive = naive_weight_counts(_matrix_code(gen, 2))
     targets = sorted(w for w in naive if w)[:2]
-    # the default: one block per code; 2 bits: 4-message blocks, split
-    # between 1 or 2 workers
-    for block_bits in (W._BLOCK_BITS, 2):
+    # the default: one block per code; a table of 4 one-word rows:
+    # 4-message blocks, split between 1 or 2 workers
+    for table_bytes in (W._TABLE_BYTES, 2**2 * 8):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(W, "_BLOCK_BITS", block_bits)
+            mp.setattr(W, "_TABLE_BYTES", table_bytes)
             for workers in (1, 2):
-                counts, scanned = W._counts(gen, 2, workers)
-                assert _as_dict([int(c) for c in counts]) == naive
-                assert scanned == 2**dim
+                assert _as_dict([int(c) for c in W._counts(gen, 2, workers)]) == naive
             assert W._witnesses(gen, 2, targets) == _full_scan_witnesses_q2(gen, targets)

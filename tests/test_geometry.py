@@ -71,9 +71,15 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             enumerate_subspaces(3, gf2, -1)
 
-    def test_cap(self):
-        with pytest.raises(BudgetExceeded):
-            enumerate_subspaces(3, gf2, 1, cap=10)
+    def test_cap(self, monkeypatch):
+        # P^9/GF(2) has 109,221,651 subspaces of dimension 4: refused
+        # from their count, before any is built
+        import prmw.geometry as G
+
+        monkeypatch.setattr(G, "combinations", None)
+        assert G.gaussian_binomial(10, 5, 2) == 109_221_651
+        with pytest.raises(BudgetExceeded, match="needs 109221651 subspaces"):
+            enumerate_subspaces(9, gf2, 4)
 
     def test_subspace_from_forms(self):
         h = subspace_from_forms([(1, 0, 0)], 2, gf2)

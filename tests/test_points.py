@@ -71,7 +71,7 @@ def test_enumeration_cap():
     with pytest.raises(BudgetExceeded):
         projective_points(25, GF(2))
     with pytest.raises(BudgetExceeded):
-        affine_points(3, GF(3), cap=10)
+        affine_points(25, GF(2))
 
 
 def test_dimension_validation():

@@ -25,6 +25,30 @@ def test_no_assert_in_package():
     assert asserts == []
 
 
+def test_reads_only_the_blas_thread_variable():
+    # an option is set one way, by its flag: the package reads no
+    # environment variable but the BLAS thread count it sets for numpy
+    keys = []
+    for path in sorted(Path(prmw.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name not in ("environ", "environb", "getenv", "getenvb"):
+                continue
+            use = parent[node]
+            if isinstance(use, ast.Attribute) and isinstance(parent[use], ast.Call):
+                use = parent[use]  # os.environ.get(key), os.environ.setdefault(key, value)
+            if isinstance(use, ast.Subscript):
+                key = use.slice
+            elif isinstance(use, ast.Call) and use.args:
+                key = use.args[0]
+            else:
+                key = None  # any other use: reported by place
+            keys.append(key.value if isinstance(key, ast.Constant) else f"{path.name}:{node.lineno}")
+    assert keys == ["OPENBLAS_NUM_THREADS"]
+
+
 def test_benchmark_traced_names_are_cli_callables():
     # the benchmark wraps each CLI_TRACED name in the prmw.cli namespace,
     # even untraced, so each must exist there and be what the CLI calls

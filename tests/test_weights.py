@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +24,8 @@ import prmw.weights as W
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    # split even tiny binary codes into many blocks of 2^4 messages
-    monkeypatch.setattr(W, "_BLOCK_BITS", 4)
+    # split even tiny binary codes into many blocks of 2^4 one-word messages
+    monkeypatch.setattr(W, "_TABLE_BYTES", 2**4 * 8)
 
 
 def counts_of(arr):
@@ -151,10 +155,9 @@ class TestPrimalInvariants:
         counting = W._counts
 
         def lossy(*args):
-            counts, scanned = counting(*args)
-            counts = counts.copy()
+            counts = counting(*args).copy()
             counts[np.flatnonzero(counts)[-1]] -= 1
-            return counts, scanned
+            return counts
 
         monkeypatch.setattr(W, "_counts", lossy)
         code = build(CodeParams(family, q, n, d))
@@ -170,15 +173,15 @@ class TestPrimalInvariants:
 
 class TestEnumerationPaths:
     def test_single_block_matches_naive(self):
-        # 2^k <= 2^_BLOCK_BITS: the whole message space is one table
+        # 2^k one-word rows fit in _TABLE_BYTES: the whole message space is one table
         for family, n, d in [("rm", 3, 2), ("prm", 3, 2), ("prm", 2, 2)]:
             code = build(CodeParams(family, 2, n, d))
-            assert counts_of(W._counts(code.gen, 2, 1)[0]) == naive_weight_counts(code)
+            assert counts_of(W._counts(code.gen, 2, 1)) == naive_weight_counts(code)
 
     def test_blocked_matches_naive(self, small_blocks):
         for family, n, d in [("rm", 2, 1), ("rm", 4, 2), ("prm", 3, 3)]:
             code = build(CodeParams(family, 2, n, d))
-            assert counts_of(W._counts(code.gen, 2, 1)[0]) == naive_weight_counts(code)
+            assert counts_of(W._counts(code.gen, 2, 1)) == naive_weight_counts(code)
 
     def test_scalar_class_matches_naive_gf3(self):
         # nonzero multiplicities are exactly (q-1) per class representative
@@ -195,17 +198,45 @@ class TestEnumerationPaths:
         code = build(CodeParams("prm", 2, 3, 3))
         full = naive_weight_counts(code)
         for workers in (1, 2, 3):
-            counts, scanned = W._counts(code.gen, 2, workers)
-            assert counts_of(counts) == full
-            assert scanned == 2**code.dimension
+            assert counts_of(W._counts(code.gen, 2, workers)) == full
         # the default, one range per CPU, on 2 blocks: at most 2 threads
-        monkeypatch.setattr(W, "_BLOCK_BITS", code.dimension - 1)
-        assert counts_of(W._counts(code.gen, 2)[0]) == full
+        monkeypatch.setattr(W, "_TABLE_BYTES", 2 ** (code.dimension - 1) * 8)
+        assert counts_of(W._counts(code.gen, 2)) == full
 
     def test_multiword_lengths(self, small_blocks):
         # 127 columns forces two 64-bit words per codeword
         code = build(CodeParams("prm", 2, 6, 1))
-        assert counts_of(W._counts(code.gen, 2, 2)[0]) == naive_weight_counts(code)
+        assert counts_of(W._counts(code.gen, 2, 2)) == naive_weight_counts(code)
+
+    def test_binary_table_capped_in_bytes(self):
+        # RM(15,1): 2^16 messages of 512 words each; a block holds what
+        # fits in _TABLE_BYTES, 2^10 of them, not all 2^16
+        code = build(CodeParams("rm", 2, 15, 1))
+        cap = W._TABLE_BYTES // (8 * (code.length // 64))
+        ((_, blocks),) = W._bit_streams(code.gen, 1)
+        sizes = [len(w) for _, _, w in blocks]
+        assert sum(sizes) == 2**16
+        assert max(sizes) <= cap == 2**10
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB")
+    def test_binary_report_memory_bounded(self):
+        # RM(15,1)'s report on at most 2 CPUs, in a new interpreter: its
+        # tables and per-stream buffers take tens of MB, where 2^16-row
+        # tables took about 400 MB
+        code = (
+            "import os, resource; "
+            "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2]); "
+            "from prmw import CodeParams, build, weight_report; "
+            "code = build(CodeParams('rm', 2, 15, 1)); "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "weight_report(code); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(W.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert int(out.stdout) < 32 * 1024
 
 
 class TestWitnesses:
@@ -220,7 +251,7 @@ class TestWitnesses:
         targets = [4, 6]
         expected = naive_witnesses(code, targets)
         assert W._witnesses(code.gen, 2, targets) == expected
-        monkeypatch.setattr(W, "_BLOCK_BITS", 4)
+        monkeypatch.setattr(W, "_TABLE_BYTES", 2**4 * 8)
         assert W._witnesses(code.gen, 2, targets) == expected
 
     def test_cap_and_weights(self):
@@ -248,7 +279,7 @@ class TestWitnesses:
         # the leads visit about 5/4 * 3905 messages together, where their
         # whole first blocks (5^7 messages each) visit 468,750
         code = build(CodeParams("prm", 5, 2, 6))
-        rep = weight_report(code, budget=5**25)
+        rep = weight_report(code)
         assert (rep.min_weight, rep.next_weight) == (4, 5)
         values = {
             w: [
@@ -434,9 +465,33 @@ SMALL_CODES = [
 
 class TestBudget:
     def test_exceeded_names_required_budget(self):
-        code = build(CodeParams("prm", 2, 3, 3))  # dimension 14
-        with pytest.raises(BudgetExceeded, match=str(2**14)):
+        # binary RM(5,2), k = 16 = N - k: its primal side shortened on two
+        # points counts 2^14 messages
+        code = build(CodeParams("rm", 2, 5, 2))
+        with pytest.raises(BudgetExceeded, match=f"needs budget {2**14}"):
             weight_report(code, budget=2**10)
+
+    def test_witness_search_bounded(self):
+        # PRM(2,6)/GF(5), k = 25: its count visits 157 messages, its
+        # witness search about 5/4 * 3905
+        code = build(CodeParams("prm", 5, 2, 6))
+        assert weight_report(code).codewords_scanned == 157
+        with pytest.raises(BudgetExceeded, match="witness search .* past budget 1000"):
+            weight_report(code, budget=1000)
+
+    def test_budget_caps_the_count_not_q_to_the_k(self):
+        # q^k is far above the default budget, the messages counted are not
+        for family, q, n, d, w1, a1, w2, a2 in [
+            ("prm", 5, 2, 5, 5, 744, 8, 46_500),
+            ("prm", 5, 2, 6, 4, 1_860, 5, 744),
+            ("prm", 3, 3, 4, 6, 6_240, 8, 136_890),
+            ("rm", 3, 3, 4, 3, 234, 4, 4_212),
+        ]:
+            code = build(CodeParams(family, q, n, d))
+            assert q**code.dimension > W.DEFAULT_BUDGET
+            rep = weight_report(code)
+            counts = rep.weight_counts
+            assert (rep.min_weight, counts[w1], rep.next_weight, counts[w2]) == (w1, a1, w2, a2)
 
     def test_naive_oracle_budget(self):
         code = build(CodeParams("prm", 2, 4, 3))
