@@ -97,8 +97,11 @@ def _parse_range(spec: str, n: int | None = None) -> list[int]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -380,17 +383,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=True):
+    def common(p, grid=True, formats=("text", "json")):
         if grid:
             p.add_argument("--family", choices=[RM, PRM], default=PRM)
             budget_help = f"most messages a weight count or witness search may visit, default {DEFAULT_BUDGET}"
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget_help)
         p.add_argument("--q", type=int, required=True, help="field size (prime)")
-        p.add_argument("--format", dest="fmt", choices=["text", "csv", "json"], default="text")
+        p.add_argument("--format", dest="fmt", choices=formats, default="text")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     pt = sub.add_parser("table", help="weight table over an (n, d) grid")
-    common(pt)
+    common(pt, formats=("text", "csv", "json"))
     pt.add_argument("--n", required=True, help="value or range, e.g. 3 or 2..4")
     pt.add_argument("--d", required=True, help="value or range; upper bound may be 'n', e.g. 2..n")
 

@@ -46,42 +46,37 @@ visit more than the budget refuses before it starts and names the count
 as the budget it needs; the witness search, which walks the code itself
 and cannot know its length ahead, raises once it has visited more.
 
-Each field size has one block kernel; both yield blocks
-``(m0, step, weights)``, weights[i] the weight of message m0 + step*i,
-in streams of ascending message order, read by one counting loop and
-one witness search.  Both kernels fill their table by doubling, and a
-stream's first block comes as the doubling's new slices in ascending
-message order: message 0, then after step j the messages whose highest
-table digit is j, [q^j, q^(j+1)).  A count does the same work either
-way; a witness search whose hits are small stops after a few tiny
-slices instead of a whole block.  A table holds the codewords of all
-messages over the low b message digits, b the largest (at most k) for
-which it fits in _TABLE_BYTES (4 MB).
+Both fields enumerate one codeword per scalar class: the message whose
+highest nonzero digit is 1, which for q = 2 is every nonzero message.
+Nonzero counts are multiplied by q - 1 and the zero word is added.  A
+message is h*q^b + s: one table holds the codewords of all q^b low parts
+s, b the most digits (at most k) whose table fits in _TABLE_BYTES
+(4 MB).  The walk yields blocks ``(m0, weights)``, weights[i] the weight
+of message m0 + i, in ascending message order: for h = 0 the table's
+doubling slices [q^j, 2q^j) as it is filled, then for each h whose
+highest digit is 1 one block of all q^b rows, the table plus the
+codeword of h's digits.  One counting loop and one witness search read
+the blocks; a search whose witnesses are small messages stops after a
+few tiny slices.
 
-q = 2: the table holds packed codewords; each block of 2^b messages is
-that table XOR-ed with the codeword of the block's high bits, popcounted
-with numpy.  A count of more than one block splits the blocks into
-contiguous streams, one per CPU the process may use, run on threads;
-the table is then filled before they start, and partial counts merge by
-addition, so results do not depend on the split.
+q = 2: the table holds packed codewords; a block is the table XOR-ed
+with the offset codeword, popcounted with numpy.  A count of more than
+one block splits the high parts into contiguous ranges, one per CPU the
+process may use, run on threads; the table is then filled before they
+start, and partial counts merge by addition, so results do not depend
+on the split.
 
-q > 2: exactly one codeword per scalar class is enumerated (messages
-whose lowest nonzero digit is 1) and nonzero counts are multiplied by
-q - 1.  Lead L's stream holds q^L + q^(L+1)*r for r ascending, with
-codeword g_L + r*G[L+1:].  A uint8 table T holds the codewords of the
-low b digits of r, and each block of q^b consecutive r adds the
-codeword ``base`` of the lead and the high digits of r.  A
-coordinate of T[s] + base is zero exactly where T[s] equals -base mod
-q, so a block's weights are one byte comparison per coordinate: no
-reduction mod q and no matrix product.
+q > 2: the table is uint8, one codeword per column.  A coordinate of
+T[s] + offset is zero exactly where T[s] equals -offset mod q, so a
+block's weights are one byte comparison per coordinate: no reduction
+mod q and no matrix product.
 
 Witnesses are canonical: the up-to-K codewords of each extreme weight
 with the smallest message values (sum_i m_i * q^i) among the enumerated
 messages, so for q > 2 among the class representatives (RM(2,1)/GF(3)
 gives weight-6 witnesses 1, 3, 4, not 2).  They always come from the
-code itself.  The search stops a stream once its next message exceeds
-the K-th smallest hit of every extreme weight, and skips a lead whose
-first message q^L already does.
+code itself.  The walk ascends, so the search stops after the first
+block that fills every weight's K.
 
 Supports are collected a batch at a time: ``codeword_support`` takes a
 matrix of messages, one per row, and returns the boolean supports x
@@ -97,7 +92,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from math import comb, inf
+from math import comb
 
 import numpy as np
 
@@ -172,8 +167,8 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
     shortened = short.shape[0] == gen.shape[0] - 2
     counted = (short @ gen) % q if shortened else gen
     k = counted.shape[0]
-    # the messages the count visits: for q > 2 one per scalar class
-    scanned = 1 << k if q == 2 else 1 + (q**k - 1) // (q - 1)
+    # the messages the count stands for: the zero word and one per scalar class
+    scanned = 1 + (q**k - 1) // (q - 1)
     if scanned > budget:
         raise BudgetExceeded(
             f"{code.params.family}(n={code.params.n}, d={code.params.d}) over GF({q}) "
@@ -291,15 +286,6 @@ def _unpack_message(m: int, dim: int, q: int) -> tuple[int, ...]:
 # -- block kernels -------------------------------------------------------------
 
 
-def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
-    """(first message, block iterator) per stream of the row space of
-    ``gen``: for q = 2 up to ``parts`` contiguous streams of all 2^k
-    messages; for q > 2 one per lead, ``parts`` unused."""
-    if q == 2:
-        return _bit_streams(gen, parts)
-    return [(q**lead, _class_blocks(gen, q, lead)) for lead in range(gen.shape[0])]
-
-
 def _table_digits(q: int, row_bytes: int, free: int) -> int:
     """The most low digits b <= free whose table, q^b rows of
     ``row_bytes`` bytes, fits in _TABLE_BYTES."""
@@ -311,89 +297,80 @@ def _table_digits(q: int, row_bytes: int, free: int) -> int:
 
 def _low_table(table: np.ndarray, rows: np.ndarray):
     """Fill table[m] with the packed codeword of message m over ``rows``
-    by doubling, yielding each message range [lo, hi) once it is filled:
-    [0, 1), then [2^j, 2^(j+1)) after step j."""
-    yield 0, 1
+    by doubling, yielding [2^j, 2^(j+1)) once step j has filled it."""
     for j, row in enumerate(rows):
         table[1 << j : 2 << j] = table[: 1 << j] ^ row
         yield 1 << j, 2 << j
 
 
-def _bit_streams(gen: np.ndarray, parts: int) -> list:
-    """q = 2: blocks of the messages h*2^b + i, i = 0..2^b - 1, for the
-    high bits h in up to ``parts`` contiguous ranges sharing one table.
-    Block h = 0 comes as the table's doubling slices while it is filled;
-    several streams run on threads, so then it is filled first."""
-    rows = pack_bits(gen)
-    dim = gen.shape[0]
-    bbits = _table_digits(2, rows.shape[1] * 8, dim)
-    table = np.zeros((1 << bbits, rows.shape[1]), dtype=np.uint64)
-    whole = [(0, 1 << bbits)]
-    first = _low_table(table, rows[:bbits])
-    nblocks = 1 << (dim - bbits)
-    parts = min(parts, nblocks)
-    if parts > 1:
-        for _ in first:
-            pass
-        first = whole
-
-    def blocks(h_lo: int, h_hi: int):
-        buf = np.empty_like(table)  # one work buffer per stream, not one per block
-        for h in range(h_lo, h_hi):
-            base = np.zeros(table.shape[1], dtype=np.uint64)
-            for j in range(dim - bbits):
-                if h >> j & 1:
-                    base ^= rows[bbits + j]
-            for lo, hi in first if h == 0 else whole:
-                x = np.bitwise_xor(table[lo:hi], base, out=buf[lo:hi])
-                np.bitwise_count(x, out=x)
-                yield h << bbits | lo, 1, x.sum(axis=1, dtype=np.int64)
-
-    bounds = [nblocks * i // parts for i in range(parts + 1)]
-    return [(lo << bbits, blocks(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-
-
 def _digit_table(table: np.ndarray, rows: np.ndarray, q: int):
     """Fill table[:, s] with sum_j s_j * rows[j] mod q, s_j digit j of s in
     base q: the codewords of all q^b messages over the b ``rows``, one per
-    column, by q-ary doubling, yielding each range of s [lo, hi) once it
-    is filled: [0, 1), then [q^j, q^(j+1)) after step j.  Before the
-    reduction an entry is at most (q-1) + (q-1)^2 = q(q-1) <= 156, so
-    uint8 holds it."""
-    yield 0, 1
+    column, by q-ary doubling.  Step j fills [q^j, q^(j+1)) and yields
+    [q^j, 2q^j), the messages whose highest nonzero digit is a 1 at j.
+    Before the reduction an entry is at most (q-1) + (q-1)^2 = q(q-1) <=
+    156, so uint8 holds it."""
     step = 1
     for g in rows.astype(np.uint8):
         for i in range(1, q):
             table[:, i * step : (i + 1) * step] = (table[:, :step] + (i * g)[:, None]) % q
-        yield step, q * step
+        yield step, 2 * step
         step *= q
 
 
-def _class_blocks(gen: np.ndarray, q: int, lead: int):
-    """q > 2: blocks of the scalar-class representatives whose lowest
-    nonzero digit is a 1 at position ``lead``: the messages
-    q^lead + q^(lead+1)*r, codewords g_lead + r*G[lead+1:], for r
-    ascending.  A block holds q^b consecutive r, whose low b digits index
-    a table of at most _TABLE_BYTES bytes; the first block comes as the
-    table's doubling slices while it is filled."""
+def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
+    """Iterators of blocks ``(m0, weights)``, weights[i] the weight of
+    message m0 + i, over the nonzero messages of the row space of ``gen``
+    whose highest nonzero digit is 1 (for q = 2 all of them), each in
+    ascending message order.  A message is h*q^b + s; one table holds the
+    codewords of all q^b low parts s.  High part h = 0 comes as the
+    table's doubling slices [q^j, 2q^j) while it is filled, and every h
+    whose highest digit is 1 as one block of all q^b rows.  Up to
+    ``parts`` iterators cover contiguous ranges of h and share the table,
+    which is then filled before they start."""
     dim, length = gen.shape
-    free = dim - lead - 1
-    b = _table_digits(q, length, free)
-    table = np.zeros((length, q**b), dtype=np.uint8)
+    if q == 2:
+        rows = pack_bits(gen)
+        b = _table_digits(2, rows.shape[1] * 8, dim)
+        table = np.zeros((1 << b, rows.shape[1]), dtype=np.uint64)
+        fill = _low_table(table, rows[:b])
+
+        def weigh(cw, lo, hi, buf):
+            x = np.bitwise_xor(table[lo:hi], pack_bits(cw[None]), out=buf[lo:hi])
+            np.bitwise_count(x, out=x)
+            return x.sum(axis=1, dtype=np.int64)
+
+    else:
+        b = _table_digits(q, length, dim)
+        table = np.zeros((length, q**b), dtype=np.uint8)
+        fill = _digit_table(table, gen[:b], q)
+        wtype = np.min_scalar_type(length)  # uint8 unless N > 255
+
+        def weigh(cw, lo, hi, buf):
+            # coordinate c of table[:, s] + cw is zero exactly where
+            # table[c, s] == -cw_c: one byte comparison, no reduction mod q
+            x = buf[:, lo:hi]
+            np.not_equal(table[:, lo:hi], (-cw % q).astype(np.uint8)[:, None], out=x.view(bool))
+            return x.sum(axis=0, dtype=wtype)
+
+    high = gen[b:]
+    runs = [(0, 1)] + [(q**j, 2 * q**j) for j in range(dim - b)]
+    top = runs[-1][1]  # every h is below it
+    parts = min(parts, top)
+    first = fill if parts == 1 else list(fill)
     whole = [(0, q**b)]
-    first = _digit_table(table, gen[lead + 1 : lead + 1 + b], q)
-    high = gen[lead + 1 + b :]
-    wtype = np.min_scalar_type(length)  # uint8 unless N > 255
-    step = q ** (lead + 1)
-    for h in range(q ** (free - b)):
-        digits = np.array([h // q**j % q for j in range(free - b)], dtype=np.int64)
-        base = (gen[lead] + digits @ high) % q
-        # coordinate c of table[:, s] + base is zero exactly where
-        # table[c, s] == -base_c: one byte comparison, no reduction mod q
-        neg = (-base % q).astype(np.uint8)
-        for lo, hi in first if h == 0 else whole:
-            w = (table[:, lo:hi] != neg[:, None]).view(np.uint8).sum(axis=0, dtype=wtype)
-            yield q**lead + step * (h * q**b + lo), step, w
+
+    def blocks(h_lo: int, h_hi: int):
+        buf = np.empty_like(table)  # one work buffer per stream, not one per block
+        for lo_run, hi_run in runs:
+            for h in range(max(lo_run, h_lo), min(hi_run, h_hi)):
+                digits = np.array([h // q**j % q for j in range(dim - b)], dtype=np.int64)
+                cw = digits @ high % q
+                for lo, hi in first if h == 0 else whole:
+                    yield h * q**b + lo, weigh(cw, lo, hi, buf)
+
+    bounds = [top * i // parts for i in range(parts + 1)]
+    return [blocks(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # -- counting and witness search ---------------------------------------------------
@@ -410,26 +387,25 @@ def _counts(gen: np.ndarray, q: int, workers: int | None = None) -> np.ndarray:
             workers = len(os.sched_getaffinity(0))
         except AttributeError:  # no sched_getaffinity on this platform
             workers = os.cpu_count() or 1
-    blocks = [it for _, it in _streams(gen, q, workers)]
+    streams = _streams(gen, q, workers if q == 2 else 1)
 
     def tally(stream) -> np.ndarray:
         counts = np.zeros(length + 1, dtype=np.int64)
-        for _, _, w in stream:
+        for _, w in stream:
             counts += np.bincount(w, minlength=length + 1)
         return counts
 
-    if q == 2 and len(blocks) > 1:
+    if len(streams) > 1:
         # imported here: no other path needs concurrent.futures (and logging)
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=len(blocks)) as ex:
-            partials = list(ex.map(tally, blocks))
+        with ThreadPoolExecutor(max_workers=len(streams)) as ex:
+            partials = list(ex.map(tally, streams))
     else:
-        partials = map(tally, blocks)
-    counts = sum(partials, np.zeros(length + 1, dtype=np.int64))  # q > 2, k = 0: no stream
-    if q > 2:
-        counts *= q - 1  # each class has q-1 nonzero scalar multiples
-        counts[0] += 1  # the zero codeword
+        partials = map(tally, streams)
+    counts = sum(partials, np.zeros(length + 1, dtype=np.int64))
+    counts *= q - 1  # each class has q-1 nonzero scalar multiples
+    counts[0] += 1  # the zero codeword, not enumerated
     return counts
 
 
@@ -441,24 +417,17 @@ def _witnesses(
     search has visited more than ``budget`` messages."""
     pool: dict[int, list[int]] = {t: [] for t in targets}
     visited = 0
-
-    def cutoff() -> float:
-        # no message above this can enter any target's smallest K
-        return max(p[-1] if len(p) >= WITNESS_CAP else inf for p in pool.values())
-
-    for first, stream in _streams(gen, q):
-        if first > cutoff():
-            continue
-        for m0, step, w in stream:
-            visited += len(w)
-            if visited > budget:
-                raise BudgetExceeded(f"witness search visited {visited} messages, past budget {budget}")
-            # a block is ascending, so its first K hits are its K smallest
-            for t in targets:
-                hits = np.flatnonzero(w == t)[:WITNESS_CAP]
-                pool[t] = sorted(pool[t] + [m0 + step * int(i) for i in hits])[:WITNESS_CAP]
-            if m0 + step * len(w) > cutoff():
-                break
+    (stream,) = _streams(gen, q)
+    for m0, w in stream:
+        visited += len(w)
+        if visited > budget:
+            raise BudgetExceeded(f"witness search visited {visited} messages, past budget {budget}")
+        for t in targets:
+            hits = np.flatnonzero(w == t)[: WITNESS_CAP - len(pool[t])]
+            pool[t] += [m0 + int(i) for i in hits]
+        # the stream ascends: once every pool is full, no later message enters
+        if all(len(p) == WITNESS_CAP for p in pool.values()):
+            break
     return pool
 
 

@@ -74,6 +74,21 @@ class TestTable:
         assert code == 2
         assert "needs budget 16148168402" in json.loads(out)[0]["note"]
 
+    def test_whole_space_row_reports(self, capsys):
+        # RM(3,6)/GF(3) is all of GF(3)^27: its dual has dimension 0 and
+        # its witnesses are small messages
+        code, out = run_cli(capsys, "table", "--family", "rm", "--q", "3", "--n", "3", "--d", "6", "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)
+        assert (row["w1_brute"], row["w2_brute"], row["match"]) == (1, 2, "true")
+
+    def test_unwritable_out_is_configuration_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "table.csv"
+        code = main(["table", "--q", "2", "--n", "2", "--d", "2", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}")
+
     def test_json_byte_identical(self, capsys):
         args = ("table", "--family", "prm", "--q", "2", "--n", "2", "--d", "2", "--format", "json")
         _, out1 = run_cli(capsys, *args)
@@ -212,6 +227,19 @@ class TestWitness:
 
 
 class TestConfig:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--q", "2", "--n", "2", "--d", "2"],
+            ["witness", "--q", "2", "--n", "3", "--poly", "X0*X3+X1*X2"],
+        ],
+    )
+    def test_csv_only_for_table(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
     def test_bad_range(self, capsys):
         assert main(["table", "--family", "rm", "--q", "2", "--n", "x..2", "--d", "1"]) == 2
 

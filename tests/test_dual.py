@@ -40,19 +40,18 @@ def _as_dict(counts):
 
 
 def _full_scan_witnesses_qp(gen, q, targets):
-    # every class representative (lowest nonzero digit 1) is multiplied
+    # every class representative (highest nonzero digit 1) is multiplied
     # out as a message matrix and the K smallest per target kept; shares
     # no code with the kernel
     dim = gen.shape[0]
     qpow = np.array([q**i for i in range(dim)], dtype=object)
     pool = {t: [] for t in targets}
-    for lead in range(dim):
-        free = dim - lead - 1
-        r = np.arange(q**free, dtype=np.int64)
-        msgs = np.zeros((q**free, dim), dtype=np.int64)
-        msgs[:, lead] = 1
-        for j in range(free):
-            msgs[:, lead + 1 + j] = r // q**j % q
+    for top in range(dim):
+        r = np.arange(q**top, dtype=np.int64)
+        msgs = np.zeros((q**top, dim), dtype=np.int64)
+        msgs[:, top] = 1
+        for j in range(top):
+            msgs[:, j] = r // q**j % q
         w = np.count_nonzero((msgs @ gen) % q, axis=1)
         for t in targets:
             for i in np.nonzero(w == t)[0]:
@@ -247,8 +246,8 @@ def test_qary_kernel_matches_naive(qgen):
     naive = naive_weight_counts(_matrix_code(gen, q))
     nonzero = sorted(w for w in naive if w)
     targets = nonzero[:2]
-    # q bytes per coordinate: one digit per table and many blocks per lead;
-    # the default: every lead in a single block
+    # q bytes per coordinate: one digit per table and many blocks; the
+    # default: every message in the table
     for table_bytes in (q * length, W._TABLE_BYTES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(W, "_TABLE_BYTES", table_bytes)

@@ -40,11 +40,11 @@ def witness_visits(monkeypatch, code, targets):
 
     def tally(blocks):
         nonlocal visited
-        for m0, step, w in blocks:
+        for m0, w in blocks:
             visited += len(w)
-            yield m0, step, w
+            yield m0, w
 
-    monkeypatch.setattr(W, "_streams", lambda *a: [(f, tally(it)) for f, it in real(*a)])
+    monkeypatch.setattr(W, "_streams", lambda *a: [tally(it) for it in real(*a)])
     return W._witnesses(code.gen, code.params.q, targets), visited
 
 
@@ -91,6 +91,24 @@ class TestDistributions:
         }
         assert (rep.min_weight, rep.next_weight) == (9, 12)
         assert (rep.side, rep.transform) == ("primal", "two-point")
+
+    @pytest.mark.parametrize(
+        "q,n,w1,a1,w2,a2",
+        [
+            (3, 3, 18, 1_560, 24, 21_060),
+            (3, 4, 54, 14_520, 72, 2_548_260),
+            (5, 3, 100, 48_360, 120, 4_030_000),
+        ],
+    )
+    def test_strict_qary_prm_2_frozen(self, q, n, w1, a1, w2, a2):
+        # the q >= 3 rows whose W2 falls below that of RM(n, 1), recorded
+        # from an enumeration of the classes by their lowest nonzero digit
+        code = build(CodeParams("prm", q, n, 2))
+        rep = weight_report(code)
+        counts = rep.weight_counts
+        assert (rep.min_weight, counts[w1], rep.next_weight, counts[w2]) == (w1, a1, w2, a2)
+        if q**code.dimension <= 1 << 16:
+            assert counts == naive_weight_counts(code)
 
     def test_prm_3_2_gf2(self):
         rep = weight_report(build(CodeParams("prm", 2, 3, 2)))
@@ -210,12 +228,13 @@ class TestEnumerationPaths:
 
     def test_binary_table_capped_in_bytes(self):
         # RM(15,1): 2^16 messages of 512 words each; a block holds what
-        # fits in _TABLE_BYTES, 2^10 of them, not all 2^16
+        # fits in _TABLE_BYTES, 2^10 of them, not all 2^16 (the zero
+        # message is not enumerated)
         code = build(CodeParams("rm", 2, 15, 1))
         cap = W._TABLE_BYTES // (8 * (code.length // 64))
-        ((_, blocks),) = W._bit_streams(code.gen, 1)
-        sizes = [len(w) for _, _, w in blocks]
-        assert sum(sizes) == 2**16
+        (blocks,) = W._streams(code.gen, 2)
+        sizes = [len(w) for _, w in blocks]
+        assert sum(sizes) == 2**16 - 1
         assert max(sizes) <= cap == 2**10
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB")
@@ -273,11 +292,11 @@ class TestWitnesses:
         msgs = [wit.message for wit in rep.witnesses if len(wit.support) == 2]
         assert msgs == [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
 
-    def test_cutoff_spans_leads(self, monkeypatch):
-        # PRM(2,6)/GF(5), k = 25: each lead stops in the doubling slice
-        # that passes 3905, the largest witness; slices grow 5-fold, so
-        # the leads visit about 5/4 * 3905 messages together, where their
-        # whole first blocks (5^7 messages each) visit 468,750
+    def test_qary_search_stops_in_first_slices(self, monkeypatch):
+        # PRM(2,6)/GF(5), k = 25: the walk stops in the doubling slice
+        # [5^5, 2*5^5) that holds 3905, the largest witness, after the
+        # slices [5^j, 2*5^j) for j <= 5, 3,906 messages of the 19,531
+        # in the table's seven slices
         code = build(CodeParams("prm", 5, 2, 6))
         rep = weight_report(code)
         assert (rep.min_weight, rep.next_weight) == (4, 5)
@@ -289,7 +308,7 @@ class TestWitnesses:
             ]
             for w in (4, 5)
         }
-        assert values == {4: [1, 5, 286], 5: [1231, 3371, 3905]}
+        assert values == {4: [1, 5, 208], 5: [1231, 3371, 3905]}
         pool, visited = witness_visits(monkeypatch, code, [4, 5])
         assert pool == values
         assert visited <= 2 * 3905
@@ -303,11 +322,24 @@ class TestWitnesses:
         assert max(m for ms in pool.values() for m in ms) <= 13
         assert visited <= 32
 
+    @pytest.mark.parametrize("q,n", [(3, 3), (5, 2)])
+    def test_whole_space_search_stops_in_first_slices(self, monkeypatch, q, n):
+        # RM(n, n(q-1)) is all of GF(q)^N; its weight-1 and weight-2 words
+        # include small messages, so the walk stops within q^3 of them
+        # instead of running to the budget
+        code = build(CodeParams("rm", q, n, n * (q - 1)))
+        assert code.dimension == code.length
+        rep = weight_report(code)
+        assert (rep.min_weight, rep.next_weight) == (1, 2)
+        pool, visited = witness_visits(monkeypatch, code, [1, 2])
+        assert all(len(ms) == W.WITNESS_CAP for ms in pool.values())
+        assert visited <= q**3
+
     def test_gf3_witnesses_are_class_representatives(self):
         rep = weight_report(build(CodeParams("rm", 3, 2, 1)))
         for wit in rep.witnesses:
-            first_nonzero = next(v for v in wit.message if v)
-            assert first_nonzero == 1
+            last_nonzero = next(v for v in reversed(wit.message) if v)
+            assert last_nonzero == 1
 
 
 class TestBasisInvariance:
@@ -473,7 +505,7 @@ class TestBudget:
 
     def test_witness_search_bounded(self):
         # PRM(2,6)/GF(5), k = 25: its count visits 157 messages, its
-        # witness search about 5/4 * 3905
+        # witness search 3,906
         code = build(CodeParams("prm", 5, 2, 6))
         assert weight_report(code).codewords_scanned == 157
         with pytest.raises(BudgetExceeded, match="witness search .* past budget 1000"):
