@@ -50,26 +50,27 @@ Both fields enumerate one codeword per scalar class: the message whose
 highest nonzero digit is 1, which for q = 2 is every nonzero message.
 Nonzero counts are multiplied by q - 1 and the zero word is added.  A
 message is h*q^b + s: one table holds the codewords of all q^b low parts
-s, b the most digits (at most k) whose table fits in _TABLE_BYTES
-(4 MB).  The walk yields blocks ``(m0, weights)``, weights[i] the weight
+s, one per column, b the most digits (at most k) whose table fits in
+_TABLE_BYTES (4 MB).  It is filled by q-ary doubling with the field's
+addition: XOR on packed 64-bit words for q = 2, a byte sum mod q for
+q > 2.  The walk yields blocks ``(m0, weights)``, weights[i] the weight
 of message m0 + i, in ascending message order: for h = 0 the table's
 doubling slices [q^j, 2q^j) as it is filled, then for each h whose
-highest digit is 1 one block of all q^b rows, the table plus the
+highest digit is 1 one block of all q^b columns, the table plus the
 codeword of h's digits.  One counting loop and one witness search read
 the blocks; a search whose witnesses are small messages stops after a
 few tiny slices.
 
-q = 2: the table holds packed codewords; a block is the table XOR-ed
-with the offset codeword, popcounted with numpy.  A count of more than
-one block splits the high parts into contiguous ranges, one per CPU the
-process may use, run on threads; the table is then filled before they
-start, and partial counts merge by addition, so results do not depend
-on the split.
-
-q > 2: the table is uint8, one codeword per column.  A coordinate of
-T[s] + offset is zero exactly where T[s] equals -offset mod q, so a
-block's weights are one byte comparison per coordinate: no reduction
-mod q and no matrix product.
+A block marks the nonzero coordinates of each of its codewords in one
+work buffer of the table's shape, and one column sum gives the weights.
+For q = 2 the mark is the table XOR-ed with the packed offset codeword,
+popcounted in place; for q > 2 a coordinate of T[s] + offset is zero
+exactly where T[s] equals -offset mod q, so the mark is one byte
+comparison per coordinate, with no reduction mod q and no matrix
+product.  A binary count of more than one block splits the high parts
+into contiguous ranges, one per CPU the process may use, run on
+threads; the table is then filled before they start, and partial counts
+merge by addition, so results do not depend on the split.
 
 Witnesses are canonical: the up-to-K codewords of each extreme weight
 with the smallest message values (sum_i m_i * q^i) among the enumerated
@@ -286,34 +287,25 @@ def _unpack_message(m: int, dim: int, q: int) -> tuple[int, ...]:
 # -- block kernels -------------------------------------------------------------
 
 
-def _table_digits(q: int, row_bytes: int, free: int) -> int:
-    """The most low digits b <= free whose table, q^b rows of
-    ``row_bytes`` bytes, fits in _TABLE_BYTES."""
+def _table_digits(q: int, col_bytes: int, free: int) -> int:
+    """The most low digits b <= free whose table, q^b columns of
+    ``col_bytes`` bytes, fits in _TABLE_BYTES."""
     b = 0
-    while b < free and q ** (b + 1) * row_bytes <= _TABLE_BYTES:
+    while b < free and q ** (b + 1) * col_bytes <= _TABLE_BYTES:
         b += 1
     return b
 
 
-def _low_table(table: np.ndarray, rows: np.ndarray):
-    """Fill table[m] with the packed codeword of message m over ``rows``
-    by doubling, yielding [2^j, 2^(j+1)) once step j has filled it."""
-    for j, row in enumerate(rows):
-        table[1 << j : 2 << j] = table[: 1 << j] ^ row
-        yield 1 << j, 2 << j
-
-
-def _digit_table(table: np.ndarray, rows: np.ndarray, q: int):
-    """Fill table[:, s] with sum_j s_j * rows[j] mod q, s_j digit j of s in
-    base q: the codewords of all q^b messages over the b ``rows``, one per
-    column, by q-ary doubling.  Step j fills [q^j, q^(j+1)) and yields
-    [q^j, 2q^j), the messages whose highest nonzero digit is a 1 at j.
-    Before the reduction an entry is at most (q-1) + (q-1)^2 = q(q-1) <=
-    156, so uint8 holds it."""
+def _fill(table: np.ndarray, rows: np.ndarray, q: int, add):
+    """Fill table[:, s] with sum_j s_j * rows[j], s_j digit j of s in base
+    q and ``add`` the field's addition: the codewords of all q^b messages
+    over the b ``rows``, one per column, by q-ary doubling.  Step j fills
+    [q^j, q^(j+1)) and yields [q^j, 2q^j), the messages whose highest
+    nonzero digit is a 1 at j."""
     step = 1
-    for g in rows.astype(np.uint8):
+    for g in rows:
         for i in range(1, q):
-            table[:, i * step : (i + 1) * step] = (table[:, :step] + (i * g)[:, None]) % q
+            table[:, i * step : (i + 1) * step] = add(table[:, :step], (i * g)[:, None])
         yield step, 2 * step
         step *= q
 
@@ -323,36 +315,36 @@ def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
     message m0 + i, over the nonzero messages of the row space of ``gen``
     whose highest nonzero digit is 1 (for q = 2 all of them), each in
     ascending message order.  A message is h*q^b + s; one table holds the
-    codewords of all q^b low parts s.  High part h = 0 comes as the
-    table's doubling slices [q^j, 2q^j) while it is filled, and every h
-    whose highest digit is 1 as one block of all q^b rows.  Up to
-    ``parts`` iterators cover contiguous ranges of h and share the table,
-    which is then filled before they start."""
+    codewords of all q^b low parts s, one per column.  High part h = 0
+    comes as the table's doubling slices [q^j, 2q^j) while it is filled,
+    and every h whose highest digit is 1 as one block of all q^b columns.
+    Up to ``parts`` iterators cover contiguous ranges of h and share the
+    table, which is then filled before they start."""
     dim, length = gen.shape
     if q == 2:
-        rows = pack_bits(gen)
-        b = _table_digits(2, rows.shape[1] * 8, dim)
-        table = np.zeros((1 << b, rows.shape[1]), dtype=np.uint64)
-        fill = _low_table(table, rows[:b])
+        rows, add = pack_bits(gen), np.bitwise_xor
 
-        def weigh(cw, lo, hi, buf):
-            x = np.bitwise_xor(table[lo:hi], pack_bits(cw[None]), out=buf[lo:hi])
-            np.bitwise_count(x, out=x)
-            return x.sum(axis=1, dtype=np.int64)
+        def mark(cw, cols, out):
+            np.bitwise_xor(cols, pack_bits(cw[None])[0][:, None], out=out)
+            np.bitwise_count(out, out=out)
 
     else:
-        b = _table_digits(q, length, dim)
-        table = np.zeros((length, q**b), dtype=np.uint8)
-        fill = _digit_table(table, gen[:b], q)
-        wtype = np.min_scalar_type(length)  # uint8 unless N > 255
+        # before the reduction an entry is at most (q-1) + (q-1)^2 = q(q-1)
+        # <= 156, so uint8 holds it
+        rows = gen.astype(np.uint8)
 
-        def weigh(cw, lo, hi, buf):
+        def add(a, g):
+            return (a + g) % q
+
+        def mark(cw, cols, out):
             # coordinate c of table[:, s] + cw is zero exactly where
             # table[c, s] == -cw_c: one byte comparison, no reduction mod q
-            x = buf[:, lo:hi]
-            np.not_equal(table[:, lo:hi], (-cw % q).astype(np.uint8)[:, None], out=x.view(bool))
-            return x.sum(axis=0, dtype=wtype)
+            np.not_equal(cols, (-cw % q).astype(np.uint8)[:, None], out=out.view(bool))
 
+    b = _table_digits(q, rows.itemsize * rows.shape[1], dim)
+    table = np.zeros((rows.shape[1], q**b), rows.dtype)
+    fill = _fill(table, rows[:b], q, add)
+    wtype = np.min_scalar_type(length)  # uint8 unless N > 255
     high = gen[b:]
     runs = [(0, 1)] + [(q**j, 2 * q**j) for j in range(dim - b)]
     top = runs[-1][1]  # every h is below it
@@ -367,7 +359,9 @@ def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
                 digits = np.array([h // q**j % q for j in range(dim - b)], dtype=np.int64)
                 cw = digits @ high % q
                 for lo, hi in first if h == 0 else whole:
-                    yield h * q**b + lo, weigh(cw, lo, hi, buf)
+                    x = buf[:, lo:hi]
+                    mark(cw, table[:, lo:hi], x)
+                    yield h * q**b + lo, x.sum(axis=0, dtype=wtype)
 
     bounds = [top * i // parts for i in range(parts + 1)]
     return [blocks(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -387,6 +381,9 @@ def _counts(gen: np.ndarray, q: int, workers: int | None = None) -> np.ndarray:
             workers = len(os.sched_getaffinity(0))
         except AttributeError:  # no sched_getaffinity on this platform
             workers = os.cpu_count() or 1
+    # q > 2 counts stay on one thread: each stream has its own work buffer
+    # as large as the table, and on 2 vCPUs a split gained 1.5x at
+    # PRM(3,3)/GF(3) but nothing at PRM(2,3)/GF(13)
     streams = _streams(gen, q, workers if q == 2 else 1)
 
     def tally(stream) -> np.ndarray:

@@ -57,30 +57,57 @@ def all_nonzero_codeword_supports(code):
     return msgs[1:], [tuple(np.flatnonzero(row).tolist()) for row in rows]
 
 
+# (W1, A_W1, W2, A_W2) of binary PRM(n, d) out to where exhaustive
+# counting reaches in about a second; PRM(6,3), PRM(7,2..5) and
+# PRM(8,2..6) are past it
+BINARY_PRM_FRONTIER = {
+    (5, 2): (16, 1953, 24, 182280),
+    (5, 3): (8, 9765, 12, 1421784),
+    (5, 4): (4, 9765, 6, 1057224),
+    (5, 5): (2, 1953, 4, 595665),
+    (6, 2): (32, 8001, 48, 3307080),
+    (6, 4): (8, 177165, 12, 134267448),
+    (6, 5): (4, 82677, 6, 40346376),
+    (6, 6): (2, 8001, 4, 10334625),
+    (7, 6): (4, 680085, 6, 1405509000),
+    (7, 7): (2, 32385, 4, 172061505),
+    (8, 7): (4, 5516245, 6, 46892495496),
+    (8, 8): (2, 130305, 4, 2807768705),
+}
+
+
 def test_criterion_1_binary_prm_grid(reports):
     # exhaustive W1/W2 of PRM(n,d) match the closed forms for the full
-    # binary grid n in {2,3,4}, 2 <= d <= n
+    # binary grid n in {2,3,4}, 2 <= d <= n, and for the frontier rows,
+    # whose multiplicities A_W1 and A_W2 are frozen too
     failures, dims = [], []
-    for n in (2, 3, 4):
-        for d in range(2, n + 1):
-            _, rep = reports("prm", 2, n, d)
-            dims.append(f"PRM({n},{d}):dim={rep.dimension}")
-            exp = (w1_rm(n, d - 1, 2), w2_prm_binary(n, d))
-            got = (rep.min_weight, rep.next_weight)
-            if got != exp:
-                failures.append(f"PRM({n},{d}): got w1,w2={got}, expected {exp}")
+    grid = [(n, d) for n in (2, 3, 4) for d in range(2, n + 1)] + list(BINARY_PRM_FRONTIER)
+    for n, d in grid:
+        _, rep = reports("prm", 2, n, d)
+        dims.append(f"PRM({n},{d}):dim={rep.dimension}")
+        exp = (w1_rm(n, d - 1, 2), w2_prm_binary(n, d))
+        got = (rep.min_weight, rep.next_weight)
+        if got != exp:
+            failures.append(f"PRM({n},{d}): got w1,w2={got}, expected {exp}")
+        if (n, d) in BINARY_PRM_FRONTIER:
+            frozen = BINARY_PRM_FRONTIER[n, d]
+            got = tuple(x for w in got for x in (w, rep.weight_counts[w]))
+            if got != frozen:
+                failures.append(f"PRM({n},{d}): got w1,A,w2,A={got}, frozen {frozen}")
     report_line(1, "binary PRM W1/W2 vs closed forms; " + " ".join(dims), failures)
 
 
 def test_criterion_2_strict_inequality(reports):
     failures = []
-    for n, expected in ((3, 6), (4, 12)):
+    for n, expected in ((3, 6), (4, 12), (5, 24), (6, 48)):
         _, rep = reports("prm", 2, n, 2)
         if rep.next_weight != expected:
             failures.append(f"PRM({n},2): w2={rep.next_weight}, expected {expected}")
         if not rep.next_weight < 2**n == w2_rm_binary(n, 1):
             failures.append(f"PRM({n},2): w2={rep.next_weight} not < 2^{n}")
-    report_line(2, "quadric case is strictly below the affine value (6<8, 12<16)", failures)
+    report_line(
+        2, "quadric case is strictly below the affine value (6<8, 12<16, 24<32, 48<64)", failures
+    )
 
 
 def test_criterion_3_binary_rm_table(reports):

@@ -197,9 +197,17 @@ class TestEnumerationPaths:
             assert counts_of(W._counts(code.gen, 2, 1)) == naive_weight_counts(code)
 
     def test_blocked_matches_naive(self, small_blocks):
-        for family, n, d in [("rm", 2, 1), ("rm", 4, 2), ("prm", 3, 3)]:
-            code = build(CodeParams(family, 2, n, d))
-            assert counts_of(W._counts(code.gen, 2, 1)) == naive_weight_counts(code)
+        # binary RM(8,1) (N = 256, its all-ones word of weight 256) and
+        # RM(3,1)/GF(7) (N = 343) have weights past uint8
+        for family, q, n, d in [
+            ("rm", 2, 2, 1),
+            ("rm", 2, 4, 2),
+            ("prm", 2, 3, 3),
+            ("rm", 2, 8, 1),
+            ("rm", 7, 3, 1),
+        ]:
+            code = build(CodeParams(family, q, n, d))
+            assert counts_of(W._counts(code.gen, q, 1)) == naive_weight_counts(code)
 
     def test_scalar_class_matches_naive_gf3(self):
         # nonzero multiplicities are exactly (q-1) per class representative
@@ -233,9 +241,15 @@ class TestEnumerationPaths:
         code = build(CodeParams("rm", 2, 15, 1))
         cap = W._TABLE_BYTES // (8 * (code.length // 64))
         (blocks,) = W._streams(code.gen, 2)
-        sizes = [len(w) for _, w in blocks]
+        sizes, tally = [], {}
+        for _, w in blocks:
+            sizes.append(len(w))
+            for weight, c in counts_of(np.bincount(w)).items():
+                tally[weight] = tally.get(weight, 0) + c
         assert sum(sizes) == 2**16 - 1
         assert max(sizes) <= cap == 2**10
+        # every nonzero word has weight 2^14 but the all-ones word, 2^15
+        assert tally == {2**14: 2**16 - 2, 2**15: 1}
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB")
     def test_binary_report_memory_bounded(self):
