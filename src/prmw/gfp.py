@@ -2,8 +2,10 @@
 
 Field elements are plain ints kept in canonical residue form 0 <= a < q.
 A ``GF`` instance is the arithmetic table for one modulus; everything is
-table-free modular arithmetic (the bit-packed fast path for q = 2 lives
-in the weights module, not here).
+table-free modular arithmetic.  The bit-packed form for q = 2 is not
+here: ``codes.pack_bits`` packs 0/1 rows into 64-bit words, and both
+Gauss-Jordan elimination in ``codes`` and the binary counting kernel in
+``weights`` use it.
 """
 
 from __future__ import annotations

@@ -11,10 +11,16 @@ recovered exactly by the MacWilliams identity
 
     A_j = q^-(N-k) * sum_i B_i * K_j(i; N, q)
 
-in Python integers, with K_j the Krawtchouk polynomials
-(MacWilliams-Sloane, The Theory of Error-Correcting Codes, ch. 5).
-Otherwise, the tie N - k = k included, the code itself is used.  The
-report's ``side`` ("primal" or "dual") names the side chosen.
+in Python integers, the Krawtchouk values K_j(i) stepped along j by
+their three-term recurrence (MacWilliams-Sloane, The Theory of
+Error-Correcting Codes, ch. 5), K_0 = 1, K_1(i) = N(q-1) - qi and
+
+    (j+1) K_(j+1)(i) = ((N-j)(q-1) + j - qi) K_j(i) - (q-1)(N-j+1) K_(j-1)(i)
+
+with exact division, for the dual weights i with B_i != 0 only: O(N)
+integer steps per such weight, no binomials.  Otherwise, the tie
+N - k = k included, the code itself is used.  The report's ``side``
+("primal" or "dual") names the side chosen.
 
 That side, of dimension k', is not enumerated itself but shortened on
 two points: its subcode vanishing on coordinates 0 and 1, of dimension
@@ -93,7 +99,6 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -244,36 +249,28 @@ def _two_point(short_counts: list[int], q: int, dim: int) -> list[int]:
 def _macwilliams(dual_counts: list[int], q: int, dim: int) -> list[int]:
     """Weight distribution of a code of dimension ``dim`` from that of its
     dual, ``dual_counts[i]`` = B_i for i = 0..N:
-    A_j = q^-(N-dim) * sum_i B_i * K_j(i; N, q), exactly."""
+    A_j = q^-(N-dim) * sum_i B_i * K_j(i; N, q), exactly, with K_j(i)
+    stepped along j for the i with B_i != 0 by the Krawtchouk recurrence."""
     length = len(dual_counts) - 1
-    acc = [0] * (length + 1)
-    for i, b in enumerate(dual_counts):
-        if b:
-            for j, kj in enumerate(_krawtchouk_column(i, length, q)):
-                acc[j] += b * kj
+    support = [(i, b) for i, b in enumerate(dual_counts) if b]
     size = q ** (length - dim)
+    prev, cur = [0] * len(support), [1] * len(support)  # K_(j-1)(i), K_j(i)
     counts = []
-    for j, s in enumerate(acc):
+    for j in range(length + 1):
+        s = sum(b * k for (_, b), k in zip(support, cur))
         a, r = divmod(s, size)
         if r:
             raise RuntimeError(f"MacWilliams sum for weight {j} is {s}, not a multiple of {size}")
         if a < 0:
             raise RuntimeError(f"MacWilliams transform gives {a} codewords of weight {j}")
         counts.append(a)
+        prev, cur = cur, [
+            (((length - j) * (q - 1) + j - q * i) * k - (q - 1) * (length - j + 1) * p) // (j + 1)
+            for (i, _), k, p in zip(support, cur, prev)
+        ]
     if sum(counts) != q**dim:
         raise RuntimeError(f"MacWilliams transform gives {sum(counts)} codewords, not {q}^{dim}")
     return counts
-
-
-def _krawtchouk_column(i: int, length: int, q: int) -> list[int]:
-    """[K_j(i; N, q) for j = 0..N]: the coefficients of
-    (1 + (q-1) z)^(N-i) * (1 - z)^i."""
-    col = [0] * (length + 1)
-    for a in range(length - i + 1):
-        ca = comb(length - i, a) * (q - 1) ** a
-        for b in range(i + 1):
-            col[a + b] += ca * (-1) ** b * comb(i, b)
-    return col
 
 
 def _unpack_message(m: int, dim: int, q: int) -> tuple[int, ...]:

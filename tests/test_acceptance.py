@@ -24,6 +24,7 @@ from prmw import (
     parse_poly,
     projective_points,
     projective_support,
+    w1_prm,
     w1_rm,
     w2_prm_binary,
     w2_rm_binary,
@@ -122,6 +123,62 @@ def test_criterion_3_binary_rm_table(reports):
     report_line(3, "binary RM W1/W2 vs closed forms, n in 2..5, e in 1..n-1", failures)
 
 
+# (W1, A_W1, W2, A_W2) of every q >= 3 PRM(n, d), n >= 2, whose report
+# takes under about 0.2 s, keyed (q, n, d)
+QARY_PRM_FIXTURE = {
+    (3, 2, 2): (6, 156, 9, 494),
+    (3, 2, 3): (3, 104, 4, 468),
+    (3, 2, 4): (2, 156, 3, 572),
+    (3, 2, 5): (1, 26, 2, 312),
+    (3, 3, 2): (18, 1560, 24, 21060),
+    (3, 3, 4): (6, 6240, 8, 136890),
+    (3, 3, 5): (3, 1040, 4, 18720),
+    (3, 3, 6): (2, 1560, 3, 19760),
+    (3, 3, 7): (1, 80, 2, 3120),
+    (3, 4, 2): (54, 14520, 72, 2548260),
+    (3, 4, 6): (6, 188760, 8, 16563690),
+    (3, 4, 7): (3, 9680, 4, 566280),
+    (3, 4, 8): (2, 14520, 3, 575960),
+    (3, 4, 9): (1, 242, 2, 29040),
+    (3, 5, 9): (3, 88088, 4, 15855840),
+    (3, 5, 10): (2, 132132, 3, 15943928),
+    (3, 5, 11): (1, 728, 2, 264264),
+    (5, 2, 2): (20, 1860, 25, 12524),
+    (5, 2, 3): (15, 2480, 16, 15500),
+    (5, 2, 5): (5, 744, 8, 46500),
+    (5, 2, 6): (4, 1860, 5, 744),
+    (5, 2, 7): (3, 2480, 4, 65720),
+    (5, 2, 8): (2, 1860, 3, 53940),
+    (5, 2, 9): (1, 124, 2, 7440),
+    (5, 3, 2): (100, 48360, 120, 4030000),
+    (5, 3, 10): (4, 48360, 5, 19344),
+    (5, 3, 11): (3, 64480, 4, 9768720),
+    (5, 3, 12): (2, 48360, 3, 7447440),
+    (5, 3, 13): (1, 624, 2, 193440),
+    (7, 2, 2): (42, 9576, 49, 100890),
+    (7, 2, 3): (35, 19152, 36, 156408),
+    (7, 2, 9): (5, 19152, 6, 19152),
+    (7, 2, 10): (4, 23940, 5, 57456),
+    (7, 2, 11): (3, 19152, 4, 1503432),
+    (7, 2, 12): (2, 9576, 3, 877800),
+    (7, 2, 13): (1, 342, 2, 57456),
+    (7, 3, 2): (294, 478800, 336, 123171300),
+    (7, 3, 17): (3, 957600, 4, 567856800),
+    (7, 3, 18): (2, 478800, 3, 317604000),
+    (7, 3, 19): (1, 2400, 2, 2872800),
+    (11, 2, 2): (110, 87780, 121, 1610630),
+    (11, 2, 18): (4, 658350, 5, 7373520),
+    (11, 2, 19): (3, 292600, 4, 93778300),
+    (11, 2, 20): (2, 87780, 3, 34497540),
+    (11, 2, 21): (1, 1330, 2, 877800),
+    (13, 2, 2): (156, 199836, 169, 4455684),
+    (13, 2, 22): (4, 2198196, 5, 39567528),
+    (13, 2, 23): (3, 799344, 4, 427249368),
+    (13, 2, 24): (2, 199836, 3, 132624492),
+    (13, 2, 25): (1, 2196, 2, 2398032),
+}
+
+
 def test_criterion_4_identity_instances_gf3(reports):
     failures = []
     for d in (2, 3, 4):
@@ -135,7 +192,23 @@ def test_criterion_4_identity_instances_gf3(reports):
         options = w2_rm_candidates(2, d, 3).options
         if rep.next_weight not in options:
             failures.append(f"RM(2,{d}) q=3: w2={rep.next_weight} not in {options}")
-    report_line(4, "q=3 identity instances and candidate membership", failures)
+    for (q, n, d), frozen in QARY_PRM_FIXTURE.items():
+        _, rep = reports("prm", q, n, d)
+        w1, w2 = rep.min_weight, rep.next_weight
+        options = w2_rm_candidates(n, d - 1, q).options
+        if w1 != w1_prm(n, d, q):
+            failures.append(f"PRM({n},{d}) q={q}: w1={w1}, expected {w1_prm(n, d, q)}")
+        if w2 not in options:
+            failures.append(f"PRM({n},{d}) q={q}: w2={w2} not in RM(n,d-1) options {options}")
+        got = (w1, rep.weight_counts[w1], w2, rep.weight_counts[w2])
+        if got != frozen:
+            failures.append(f"PRM({n},{d}) q={q}: got w1,A,w2,A={got}, frozen {frozen}")
+    report_line(
+        4,
+        "q>=3 identity instances, candidate membership, and "
+        f"{len(QARY_PRM_FIXTURE)} frozen q>=3 PRM rows",
+        failures,
+    )
 
 
 def test_criterion_5_quadric_witness_weights():

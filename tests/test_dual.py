@@ -1,6 +1,8 @@
 """Counting the dual and transforming back (MacWilliams) must give exactly
 what enumerating the code itself gives."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -213,6 +215,44 @@ def test_transform_of_naive_dual_is_naive_primal(qgen):
     dual = naive_weight_counts(_matrix_code(nullspace(gen, GF(q)), q))
     as_list = [dual.get(i, 0) for i in range(length + 1)]
     assert _as_dict(W._macwilliams(as_list, q, dim)) == primal
+
+
+def _binomial_macwilliams(dual, q, length, dim):
+    """A_j = q^-(N-dim) * sum_i B_i * K_j(i; N, q), with every K_j(i)
+    summed from binomials: sum_b (-1)^b C(i, b) C(N-i, j-b) (q-1)^(j-b)."""
+    out = {}
+    for j in range(length + 1):
+        s = sum(
+            c * (-1) ** b * comb(i, b) * comb(length - i, j - b) * (q - 1) ** (j - b)
+            for i, c in dual.items()
+            for b in range(max(0, j - (length - i)), min(i, j) + 1)
+        )
+        a, r = divmod(s, q ** (length - dim))
+        assert r == 0 and a >= 0
+        if a:
+            out[j] = a
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,q,n,d,length,dual_dim",
+    [
+        ("prm", 2, 8, 7, 511, 10),
+        ("rm", 7, 3, 16, 343, 4),
+        ("prm", 7, 3, 17, 400, 4),
+        ("prm", 3, 5, 9, 364, 6),
+    ],
+)
+def test_long_code_matches_binomial_transform_of_naive_dual(family, q, n, d, length, dual_dim):
+    # whole distributions of long codes with small duals: the report's
+    # transform against the textbook Krawtchouk sums of the naive dual
+    code = build(CodeParams(family, q, n, d))
+    dual_gen = nullspace(code.gen, code.gf)
+    assert (code.length, dual_gen.shape[0]) == (length, dual_dim)
+    dual = naive_weight_counts(_matrix_code(dual_gen, q))
+    rep = weight_report(code)
+    assert rep.side == "dual"
+    assert rep.weight_counts == _binomial_macwilliams(dual, q, length, code.dimension)
 
 
 @st.composite

@@ -98,15 +98,18 @@ class TestDistributions:
             (3, 3, 18, 1_560, 24, 21_060),
             (3, 4, 54, 14_520, 72, 2_548_260),
             (5, 3, 100, 48_360, 120, 4_030_000),
+            (7, 3, 294, 478_800, 336, 123_171_300),
         ],
     )
     def test_strict_qary_prm_2_frozen(self, q, n, w1, a1, w2, a2):
         # the q >= 3 rows whose W2 falls below that of RM(n, 1), recorded
         # from an enumeration of the classes by their lowest nonzero digit
+        # (GF(7) by their highest); every one has W2 = q^n - q^(n-2)
         code = build(CodeParams("prm", q, n, 2))
         rep = weight_report(code)
         counts = rep.weight_counts
         assert (rep.min_weight, counts[w1], rep.next_weight, counts[w2]) == (w1, a1, w2, a2)
+        assert rep.next_weight == q**n - q ** (n - 2)
         if q**code.dimension <= 1 << 16:
             assert counts == naive_weight_counts(code)
 
