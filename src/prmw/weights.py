@@ -57,26 +57,30 @@ highest nonzero digit is 1, which for q = 2 is every nonzero message.
 Nonzero counts are multiplied by q - 1 and the zero word is added.  A
 message is h*q^b + s: one table holds the codewords of all q^b low parts
 s, one per column, b the most digits (at most k) whose table fits in
-_TABLE_BYTES (4 MB).  It is filled by q-ary doubling with the field's
-addition: XOR on packed 64-bit words for q = 2, a byte sum mod q for
-q > 2.  The walk yields blocks ``(m0, weights)``, weights[i] the weight
-of message m0 + i, in ascending message order: for h = 0 the table's
-doubling slices [q^j, 2q^j) as it is filled, then for each h whose
-highest digit is 1 one block of all q^b columns, the table plus the
-codeword of h's digits.  One counting loop and one witness search read
+_TABLE_BYTES (1 MB), so that the table and each stream's work buffer,
+as large as the table, stay in a core's L2 cache (2 MB per core on the
+2-vCPU host measured; 4 MB tables spilled out of it).  It is filled by
+q-ary doubling with the field's addition: XOR on packed 64-bit words
+for q = 2, a byte sum mod q for q > 2.  The walk yields blocks
+``(m0, weights)``, weights[i] the weight of message m0 + i, in
+ascending message order: for h = 0 the table's doubling slices
+[q^j, 2q^j) as it is filled, then for each h whose highest digit is 1
+one block of all q^b columns, the table plus the codeword of h's
+digits.  One counting loop and one witness search read
 the blocks; a search whose witnesses are small messages stops after a
 few tiny slices.
 
 A block marks the nonzero coordinates of each of its codewords in one
 work buffer of the table's shape, and one column sum gives the weights.
 For q = 2 the mark is the table XOR-ed with the packed offset codeword,
-popcounted in place; for q > 2 a coordinate of T[s] + offset is zero
-exactly where T[s] equals -offset mod q, so the mark is one byte
-comparison per coordinate, with no reduction mod q and no matrix
-product.  A binary count of more than one block splits the high parts
-into contiguous ranges, one per CPU the process may use, run on
-threads; the table is then filled before they start, and partial counts
-merge by addition, so results do not depend on the split.
+itself the XOR of the packed rows of h's 1 digits, popcounted in place;
+for q > 2 a coordinate of T[s] + offset is zero exactly where T[s]
+equals -offset mod q, so the mark is one byte comparison per
+coordinate, with no reduction mod q and no matrix product.  A binary
+count of more than one block splits the high parts into contiguous
+ranges, one per CPU the process may use, run on threads; the table is
+then filled before they start, and partial counts merge by addition, so
+results do not depend on the split.
 
 Witnesses are canonical: the up-to-K codewords of each extreme weight
 with the smallest message values (sum_i m_i * q^i) among the enumerated
@@ -109,7 +113,7 @@ DEFAULT_BUDGET = 1 << 32
 WITNESS_CAP = 3
 
 # byte size cap of either kernel's low-digit table
-_TABLE_BYTES = 1 << 22
+_TABLE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -321,8 +325,12 @@ def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
     if q == 2:
         rows, add = pack_bits(gen), np.bitwise_xor
 
-        def mark(cw, cols, out):
-            np.bitwise_xor(cols, pack_bits(cw[None])[0][:, None], out=out)
+        def offset(digits, high):
+            # the packed codeword of h: the XOR of its digits' packed rows
+            return np.bitwise_xor.reduce(high[digits == 1], axis=0)
+
+        def mark(off, cols, out):
+            np.bitwise_xor(cols, off[:, None], out=out)
             np.bitwise_count(out, out=out)
 
     else:
@@ -333,16 +341,19 @@ def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
         def add(a, g):
             return (a + g) % q
 
-        def mark(cw, cols, out):
-            # coordinate c of table[:, s] + cw is zero exactly where
-            # table[c, s] == -cw_c: one byte comparison, no reduction mod q
-            np.not_equal(cols, (-cw % q).astype(np.uint8)[:, None], out=out.view(bool))
+        def offset(digits, high):
+            # -cw mod q for h's codeword cw: coordinate c of table[:, s] + cw
+            # is zero exactly where table[c, s] == -cw_c, one byte comparison
+            return (-(digits @ high) % q).astype(np.uint8)
+
+        def mark(off, cols, out):
+            np.not_equal(cols, off[:, None], out=out.view(bool))
 
     b = _table_digits(q, rows.itemsize * rows.shape[1], dim)
     table = np.zeros((rows.shape[1], q**b), rows.dtype)
     fill = _fill(table, rows[:b], q, add)
     wtype = np.min_scalar_type(length)  # uint8 unless N > 255
-    high = gen[b:]
+    high = rows[b:]
     runs = [(0, 1)] + [(q**j, 2 * q**j) for j in range(dim - b)]
     top = runs[-1][1]  # every h is below it
     parts = min(parts, top)
@@ -354,10 +365,10 @@ def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
         for lo_run, hi_run in runs:
             for h in range(max(lo_run, h_lo), min(hi_run, h_hi)):
                 digits = np.array([h // q**j % q for j in range(dim - b)], dtype=np.int64)
-                cw = digits @ high % q
+                off = offset(digits, high)
                 for lo, hi in first if h == 0 else whole:
                     x = buf[:, lo:hi]
-                    mark(cw, table[:, lo:hi], x)
+                    mark(off, table[:, lo:hi], x)
                     yield h * q**b + lo, x.sum(axis=0, dtype=wtype)
 
     bounds = [top * i // parts for i in range(parts + 1)]
@@ -378,9 +389,12 @@ def _counts(gen: np.ndarray, q: int, workers: int | None = None) -> np.ndarray:
             workers = len(os.sched_getaffinity(0))
         except AttributeError:  # no sched_getaffinity on this platform
             workers = os.cpu_count() or 1
-    # q > 2 counts stay on one thread: each stream has its own work buffer
-    # as large as the table, and on 2 vCPUs a split gained 1.5x at
-    # PRM(3,3)/GF(3) but nothing at PRM(2,3)/GF(13)
+    # q > 2 counts stay on one thread.  With 1 MB tables a second stream
+    # costs only its 1 MB work buffer, and on 2 vCPUs a split took
+    # PRM(3,3)/GF(3) from 1.42 to 1.26 s; but it imports concurrent.futures
+    # (and logging) and starts threads for counts as small as PRM(2,3)/GF(5)'s
+    # 97,657 classes, whose `prmw table` run went 34.3 -> 35.3 MB peak RSS
+    # and 8 -> 20 ms of main time
     streams = _streams(gen, q, workers if q == 2 else 1)
 
     def tally(stream) -> np.ndarray:

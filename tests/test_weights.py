@@ -57,6 +57,30 @@ def naive_witnesses(code, targets):
     return {t: [int(m) for m in np.flatnonzero(w == t)[: W.WITNESS_CAP]] for t in targets}
 
 
+def report_rss_growth_kb(family, q, n, d):
+    """How far one ``weight_report`` raises the peak RSS (kB) of a new
+    interpreter that may use at most 2 CPUs.  The peak is the process's
+    own VmHWM: its ru_maxrss starts at this test process's peak, which
+    a child spawned by vfork inherits."""
+    code = (
+        "import os\n"
+        "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+        "from prmw import CodeParams, build, weight_report\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+        f"code = build(CodeParams({family!r}, {q}, {n}, {d}))\n"
+        "before = peak()\n"
+        "weight_report(code)\n"
+        "print(peak() - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(W.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    return int(out.stdout)
+
+
 class TestDistributions:
     def test_rm_2_1_gf2_frozen(self):
         rep = weight_report(build(CodeParams("rm", 2, 2, 1)))
@@ -239,7 +263,7 @@ class TestEnumerationPaths:
 
     def test_binary_table_capped_in_bytes(self):
         # RM(15,1): 2^16 messages of 512 words each; a block holds what
-        # fits in _TABLE_BYTES, 2^10 of them, not all 2^16 (the zero
+        # fits in _TABLE_BYTES, 2^8 of them, not all 2^16 (the zero
         # message is not enumerated)
         code = build(CodeParams("rm", 2, 15, 1))
         cap = W._TABLE_BYTES // (8 * (code.length // 64))
@@ -250,29 +274,25 @@ class TestEnumerationPaths:
             for weight, c in counts_of(np.bincount(w)).items():
                 tally[weight] = tally.get(weight, 0) + c
         assert sum(sizes) == 2**16 - 1
-        assert max(sizes) <= cap == 2**10
+        assert max(sizes) <= cap == 2**8
         # every nonzero word has weight 2^14 but the all-ones word, 2^15
         assert tally == {2**14: 2**16 - 2, 2**15: 1}
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_binary_report_memory_bounded(self):
-        # RM(15,1)'s report on at most 2 CPUs, in a new interpreter: its
-        # tables and per-stream buffers take tens of MB, where 2^16-row
+        # RM(15,1)'s report (N = 32768) takes about 12 MB, where 2^16-row
         # tables took about 400 MB
-        code = (
-            "import os, resource; "
-            "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2]); "
-            "from prmw import CodeParams, build, weight_report; "
-            "code = build(CodeParams('rm', 2, 15, 1)); "
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
-            "weight_report(code); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(W.__file__).resolve().parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
-        )
-        assert int(out.stdout) < 32 * 1024
+        assert report_rss_growth_kb("rm", 2, 15, 1) < 32 * 1024
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    @pytest.mark.parametrize(
+        "family,q,n,d,mb",
+        # a 1 MB table and one 1 MB work buffer per stream: about 1.4 and
+        # 5.8 MB, where 4 MB tables took 5.6 and 20.2 MB
+        [("prm", 5, 2, 3, 3), ("prm", 2, 6, 2, 12)],
+    )
+    def test_report_memory_follows_table_cap(self, family, q, n, d, mb):
+        assert report_rss_growth_kb(family, q, n, d) < mb * 1024
 
 
 class TestWitnesses:
