@@ -21,7 +21,6 @@ from .codes import (
 )
 from .errors import BudgetExceeded, DomainError
 from .formulas import (
-    W2Candidates,
     w1_prm,
     w1_rm,
     w2_prm_binary,
@@ -64,7 +63,6 @@ __all__ = [
     "Poly",
     "RM",
     "Subspace",
-    "W2Candidates",
     "WeightReport",
     "Witness",
     "affine_points",

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -52,26 +51,6 @@ TABLE_COLUMNS = [
 ]
 
 
-@dataclass
-class RunConfig:
-    family: str
-    q: int
-    n_values: list[int]
-    d_spec: str
-    budget: int
-    fmt: str
-    out: str | None
-
-    def __post_init__(self):
-        if not self.n_values:
-            raise DomainError("empty n range")
-        if self.budget < MIN_BUDGET:
-            raise DomainError(f"budget {self.budget} below minimum {MIN_BUDGET}")
-
-    def d_values(self, n: int) -> list[int]:
-        return _parse_range(self.d_spec, n)
-
-
 def _parse_range(spec: str, n: int | None = None) -> list[int]:
     """``3`` -> [3]; ``2..4`` -> [2,3,4]; ``2..n`` -> [2..n] per row."""
 
@@ -90,104 +69,81 @@ def _parse_range(spec: str, n: int | None = None) -> list[int]:
             lo = hi = bound(spec)
     except ValueError:
         raise DomainError(f"cannot parse range {spec!r}") from None
-    if hi < lo:
-        return []
     return list(range(lo, hi + 1))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DomainError(f"cannot write {out}: {exc.strerror}") from None
-    else:
+def _emit(args: argparse.Namespace, doc, text: str) -> None:
+    """Write ``doc`` as sorted-keys JSON under ``--format json``, else
+    ``text``, to ``--out`` or stdout."""
+    if args.fmt == "json":
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
-# -- table ---------------------------------------------------------------------
-
-
-def _grid(cfg: RunConfig) -> list[tuple[int, int]]:
-    grid = [(n, d) for n in cfg.n_values for d in cfg.d_values(n)]
+def _grid(args: argparse.Namespace) -> list[tuple[int, int]]:
+    grid = [(n, d) for n in args.n for d in _parse_range(args.d, n)]
     if not grid:
         raise DomainError("the (n, d) grid is empty")
     return grid
 
 
-def _table_rows(cfg: RunConfig) -> list[dict]:
-    rows = []
-    for n, d in _grid(cfg):
-        row = {c: "" for c in TABLE_COLUMNS}
-        row.update({"family": cfg.family, "q": cfg.q, "n": n, "d": d})
-        try:
-            code = build(CodeParams(cfg.family, cfg.q, n, d))
-        except (DomainError, BudgetExceeded) as exc:
-            row["note"] = str(exc)
-            rows.append(row)
-            continue
-        row["length"], row["dimension"] = code.length, code.dimension
-        exp = expectation(code.params)
-        row["w1_formula"] = "" if exp.w1 is None else str(exp.w1)
-        row["w2_formula"] = exp.w2_text
-        try:
-            rep = weight_report(code, budget=cfg.budget)
-        except BudgetExceeded as exc:
-            row["note"] = str(exc)
-            rows.append(row)
-            continue
-        row["w1_brute"] = rep.min_weight
-        row["w2_brute"] = "" if rep.next_weight is None else rep.next_weight
-        # like verify, a row fails only where a closed form is contradicted,
-        # and is left blank where none is asserted
-        verdict = exp.check(rep.min_weight, rep.next_weight)
-        row["match"] = "" if verdict is None else "true" if verdict else "false"
-        rows.append(row)
-    return rows
+# -- table ---------------------------------------------------------------------
 
 
-def _render_text(rows: list[dict]) -> str:
-    cols = TABLE_COLUMNS
-    str_rows = [[str(r[c]) for c in cols] for r in rows]
-    widths = [max(len(c), *(len(sr[i]) for sr in str_rows)) if str_rows else len(c) for i, c in enumerate(cols)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(cols, widths)).rstrip()]
-    for sr in str_rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(sr, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+def _table_row(args: argparse.Namespace, n: int, d: int) -> dict:
+    row = dict.fromkeys(TABLE_COLUMNS, "")
+    row.update(family=args.family, q=args.q, n=n, d=d)
+    try:
+        code = build(CodeParams(args.family, args.q, n, d))
+    except (DomainError, BudgetExceeded) as exc:
+        row["note"] = str(exc)
+        return row
+    exp = expectation(code.params)
+    row.update(length=code.length, dimension=code.dimension, w2_formula=exp.w2_text)
+    row["w1_formula"] = "" if exp.w1 is None else str(exp.w1)
+    try:
+        rep = weight_report(code, budget=args.budget)
+    except BudgetExceeded as exc:
+        row["note"] = str(exc)
+        return row
+    row["w1_brute"] = rep.min_weight
+    row["w2_brute"] = "" if rep.next_weight is None else rep.next_weight
+    # like verify, a row fails only where a closed form is contradicted,
+    # and is left blank where none is asserted
+    verdict = exp.check(rep.min_weight, rep.next_weight)
+    row["match"] = "" if verdict is None else "true" if verdict else "false"
+    return row
 
 
-def _render_csv(rows: list[dict]) -> str:
-    lines = [",".join(TABLE_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_csv_cell(str(r[c])) for c in TABLE_COLUMNS))
-    return "\n".join(lines) + "\n"
+def cmd_table(args: argparse.Namespace) -> int:
+    rows = [_table_row(args, n, d) for n, d in _grid(args)]
+    cells = [TABLE_COLUMNS] + [[str(r[c]) for c in TABLE_COLUMNS] for r in rows]
+    if args.fmt == "csv":
+        import csv  # here only: the json and text jobs do not pay its import
+        import io
 
-
-def _csv_cell(v: str) -> str:
-    if any(ch in v for ch in ",\"\n"):
-        return '"' + v.replace('"', '""') + '"'
-    return v
-
-
-def cmd_table(cfg: RunConfig) -> int:
-    rows = _table_rows(cfg)
-    if cfg.fmt == "json":
-        _emit(json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n", cfg.out)
-    elif cfg.fmt == "csv":
-        _emit(_render_csv(rows), cfg.out)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(cells)
+        text = buf.getvalue()
     else:
-        _emit(_render_text(rows), cfg.out)
-    bad = [r for r in rows if r["match"] == "false"]
-    budget = [r for r in rows if r["note"]]
-    return 1 if bad else 2 if budget else 0
+        widths = [max(map(len, col)) for col in zip(*cells)]
+        text = "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in cells)
+    _emit(args, rows, text)
+    return 1 if any(r["match"] == "false" for r in rows) else 2 if any(r["note"] for r in rows) else 0
 
 
 # -- verify ----------------------------------------------------------------------
 
 
-def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None:
-    name = f"{cfg.family}({n},{d}) q={cfg.q}"
+def _verify_instance(args: argparse.Namespace, n: int, d: int, checks: list[dict]) -> None:
+    q, name = args.q, f"{args.family}({n},{d}) q={args.q}"
     t0 = time.perf_counter()
 
     def record(check: str, status: str, detail: str) -> None:
@@ -195,20 +151,13 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
         # instance add up to its wall time
         nonlocal t0
         now = time.perf_counter()
-        checks.append(
-            {
-                "check": check,
-                "instance": name,
-                "status": status,
-                "detail": detail,
-                "elapsed_ms": int((now - t0) * 1000),
-            }
-        )
+        elapsed_ms = int((now - t0) * 1000)
+        checks.append(dict(check=check, instance=name, status=status, detail=detail, elapsed_ms=elapsed_ms))
         t0 = now
 
     try:
-        code = build(CodeParams(cfg.family, cfg.q, n, d))
-        rep = weight_report(code, budget=cfg.budget)
+        code = build(CodeParams(args.family, q, n, d))
+        rep = weight_report(code, budget=args.budget)
     except BudgetExceeded as exc:
         record("weights", "budget", str(exc))
         return
@@ -221,19 +170,18 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
         f"formula w1={'-' if exp.w1 is None else exp.w1} w2={exp.w2_text or '-'}",
     )
 
-    if cfg.family != PRM or d < 2:
+    if args.family != PRM or d < 2:
         return
 
     # geometry checks need codeword supports: exhaustively over all
     # nonzero codewords while feasible, else over the extreme-weight
     # witnesses of the report; collecting them is charged to
     # intersection_bounds
-    gf = GF(cfg.q)
-    exhaustive = cfg.q**rep.dimension <= EXHAUSTIVE_GEOMETRY_LIMIT
-    if exhaustive:
+    gf = GF(q)
+    if q**rep.dimension <= EXHAUSTIVE_GEOMETRY_LIMIT:
         # every message in itertools.product order (last digit fastest)
         # but the first, the zero one
-        messages = np.indices((cfg.q,) * rep.dimension).reshape(rep.dimension, -1).T[1:]
+        messages = np.indices((q,) * rep.dimension).reshape(rep.dimension, -1).T[1:]
         scope = f"all {len(messages)} nonzero codewords"
     else:
         messages = [w.message for w in rep.witnesses]
@@ -242,15 +190,12 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
 
     try:
         violations = len(check_subspace_bounds(supports, code.params))
-        record(
-            "intersection_bounds",
-            "pass" if violations == 0 else "fail",
-            f"{scope}, dims 1..{n - 1}, {violations} violations",
-        )
+        status = "pass" if violations == 0 else "fail"
+        record("intersection_bounds", status, f"{scope}, dims 1..{n - 1}, {violations} violations")
     except BudgetExceeded as exc:
         record("intersection_bounds", "budget", str(exc))
 
-    k, hyperplane_bound, subspace_bound = avoiding_bounds(n, d, cfg.q)
+    k, hyperplane_bound, subspace_bound = avoiding_bounds(n, d, q)
     try:
         # |S| < bound iff |S| < ceil(bound): no Fraction compare per support
         sizes = supports.sum(axis=1)
@@ -273,97 +218,72 @@ def _verify_instance(cfg: RunConfig, n: int, d: int, checks: list[dict]) -> None
 
     # the quadric witness settles the strict-inequality case: it attains
     # the closed-form W2 and is not a union of hyperplanes
-    if cfg.q == 2 and d == 2 and n >= 3:
+    if q == 2 and d == 2 and n >= 3:
         quad = parse_poly("X0*X3+X1*X2", n + 1, gf)
-        sup = projective_support(quad, n, gf)
+        weight = len(projective_support(quad, n, gf))
         cover = zero_set_is_hyperplane_union(quad, n, gf)
         (expected,) = exp.w2
-        ok = len(sup) == expected == rep.next_weight and not cover.is_union
-        record(
-            "witness_quadric",
-            "pass" if ok else "fail",
-            f"weight={len(sup)} expected={expected} hyperplane_union={cover.is_union}",
-        )
+        ok = weight == expected == rep.next_weight and not cover.is_union
+        detail = f"weight={weight} expected={expected} hyperplane_union={cover.is_union}"
+        record("witness_quadric", "pass" if ok else "fail", detail)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    grid = _grid(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    grid = _grid(args)
     for n, d in grid:
         # an out-of-range (n, d) is a configuration error, before any run
-        CodeParams(cfg.family, cfg.q, n, d)
+        CodeParams(args.family, args.q, n, d)
     checks: list[dict] = []
     for n, d in grid:
-        _verify_instance(cfg, n, d, checks)
-    failed = [c for c in checks if c["status"] == "fail"]
-    budget = [c for c in checks if c["status"] == "budget"]
-    status = "fail" if failed else "budget" if budget else "pass"
-    doc = {
-        "command": "verify",
-        "family": cfg.family,
-        "q": cfg.q,
-        "status": status,
-        "checks": checks,
-    }
-    if cfg.fmt == "text":
-        lines = [
-            f"[{c['status'].upper():6s}] {c['check']:26s} {c['instance']:18s} {c['detail']}"
-            for c in checks
-        ]
-        lines.append(f"overall: {status}")
-        _emit("\n".join(lines) + "\n", cfg.out)
-    else:
-        _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", cfg.out)
-    return 1 if failed else 2 if budget else 0
+        _verify_instance(args, n, d, checks)
+    statuses = {c["status"] for c in checks}
+    status = "fail" if "fail" in statuses else "budget" if "budget" in statuses else "pass"
+    lines = [f"[{c['status'].upper():6s}] {c['check']:26s} {c['instance']:18s} {c['detail']}\n" for c in checks]
+    doc = dict(command="verify", family=args.family, q=args.q, status=status, checks=checks)
+    _emit(args, doc, "".join(lines) + f"overall: {status}\n")
+    return {"pass": 0, "fail": 1, "budget": 2}[status]
 
 
 # -- witness ----------------------------------------------------------------------
 
 
-def cmd_witness(cfg: RunConfig, n: int, poly_src: str) -> int:
-    gf = GF(cfg.q)
-    f = parse_poly(poly_src, n + 1, gf)
+def cmd_witness(args: argparse.Namespace) -> int:
+    if len(args.n) != 1:
+        raise DomainError("witness takes a single --n value")
+    (n,), q = args.n, args.q
+    gf = GF(q)
+    f = parse_poly(args.poly, n + 1, gf)
     if f.is_zero() or not f.is_homogeneous():
-        raise DomainError(f"witness polynomial must be nonzero homogeneous: {poly_src!r}")
-    support = projective_support(f, n, gf)
+        raise DomainError(f"witness polynomial must be nonzero homogeneous: {args.poly!r}")
+    support = list(projective_support(f, n, gf))
     if not support:
         raise DomainError("polynomial vanishes on every point")
     (avoid,) = find_avoiding_subspace_at_least([support], n, gf, 0)
     cover = zero_set_is_hyperplane_union(f, n, gf)
+    forms = None if avoid is None else [list(r) for r in avoid.forms]
+    certificate = [list(h.forms[0]) for h in cover.hyperplanes]
+    uncovered = list(cover.uncovered)
     doc = {
         "command": "witness",
-        "q": cfg.q,
+        "q": q,
         "n": n,
         "poly": str(f),
         "degree": f.degree(),
         "weight": len(support),
-        "support": list(support),
+        "support": support,
         "avoiding_subspace_dim": None if avoid is None else avoid.dim,
-        "avoiding_subspace_forms": None if avoid is None else [list(r) for r in avoid.forms],
+        "avoiding_subspace_forms": forms,
         "hyperplane_union": cover.is_union,
-        "certificate_forms": [list(h.forms[0]) for h in cover.hyperplanes],
-        "uncovered_zeros": list(cover.uncovered),
+        "certificate_forms": certificate,
+        "uncovered_zeros": uncovered,
     }
-    if cfg.fmt == "text":
-        lines = [
-            f"poly: {doc['poly']} over GF({cfg.q}), P^{n}",
-            f"weight: {doc['weight']}",
-            f"support: {doc['support']}",
-            "avoiding subspace: "
-            + (
-                "none"
-                if avoid is None
-                else f"dim {avoid.dim}, forms {doc['avoiding_subspace_forms']}"
-            ),
-            f"hyperplane-union={'true' if cover.is_union else 'false'}"
-            + (
-                f" certificate={doc['certificate_forms']}"
-                if cover.is_union
-                else f" uncovered={doc['uncovered_zeros']}"
-            ),
-        ]
-        _emit("\n".join(lines) + "\n", cfg.out)
-    else:
-        _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", cfg.out)
+    avoiding = "none" if avoid is None else f"dim {avoid.dim}, forms {forms}"
+    union = f"true certificate={certificate}" if cover.is_union else f"false uncovered={uncovered}"
+    text = (
+        f"poly: {f} over GF({q}), P^{n}\nweight: {len(support)}\nsupport: {support}\n"
+        f"avoiding subspace: {avoiding}\nhyperplane-union={union}\n"
+    )
+    _emit(args, doc, text)
     return 0
 
 
@@ -412,29 +332,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            family=getattr(args, "family", PRM),
-            q=args.q,
-            n_values=_parse_range(args.n),
-            d_spec=getattr(args, "d", "1"),
-            budget=getattr(args, "budget", DEFAULT_BUDGET),
-            fmt=args.fmt,
-            out=args.out,
-        )
-        if args.command == "table":
-            return cmd_table(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if len(cfg.n_values) != 1:
-            raise DomainError("witness takes a single --n value")
-        return cmd_witness(cfg, cfg.n_values[0], args.poly)
+        args.n = _parse_range(args.n)
+        if not args.n:
+            raise DomainError("empty n range")
+        if getattr(args, "budget", MIN_BUDGET) < MIN_BUDGET:
+            raise DomainError(f"budget {args.budget} below minimum {MIN_BUDGET}")
+        return {"table": cmd_table, "verify": cmd_verify, "witness": cmd_witness}[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

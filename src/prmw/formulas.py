@@ -99,17 +99,11 @@ def w2_prm_binary(n: int, d: int) -> int:
     return w2_rm_binary(n, d - 1)
 
 
-@dataclass(frozen=True)
-class W2Candidates:
-    """The candidate set for the affine next-to-minimal weight: values
-    base + c*q^(n-a-2) with c in {b-1, q-1, q} (integral ones only on the
-    n-a-2 = -1 boundary)."""
-
-    base: int
-    options: tuple[int, ...]
-
-
-def w2_rm_candidates(n: int, d: int, q: int) -> W2Candidates:
+def w2_rm_candidates(n: int, d: int, q: int) -> tuple[int, ...]:
+    """The sorted candidate set for the affine next-to-minimal weight:
+    values base + c*q^(n-a-2), base = (q-b)q^(n-a-1) the minimum weight,
+    with c in {b-1, q-1, q} (integral ones only on the n-a-2 = -1
+    boundary)."""
     GF(q)
     a, b = decompose_affine(d, q)
     if n - a - 2 < -1:
@@ -123,13 +117,11 @@ def w2_rm_candidates(n: int, d: int, q: int) -> W2Candidates:
         v = base + c * step
         if v.denominator == 1:
             options.add(int(v))
-    cands = W2Candidates(base, tuple(sorted(options)))
+    cands = tuple(sorted(options))
     if q == 2 and 1 <= d <= n - 1:
         # binary closed form must be one of the candidates
-        if w2_rm_binary(n, d) not in cands.options:
-            raise RuntimeError(
-                f"binary W2 {w2_rm_binary(n, d)} not among candidates {cands.options}"
-            )
+        if w2_rm_binary(n, d) not in cands:
+            raise RuntimeError(f"binary W2 {w2_rm_binary(n, d)} not among candidates {cands}")
     return cands
 
 
@@ -186,7 +178,7 @@ def expectation(params: CodeParams) -> Expectation:
             return Expectation(None)
         w1 = w1_rm(n, d, q)
         if q > 2:
-            options = w2_rm_candidates(n, d, q).options
+            options = w2_rm_candidates(n, d, q)
             return Expectation(w1, options, "in {%s}" % ",".join(map(str, options)))
         if d > n - 1:
             return Expectation(w1)
@@ -196,7 +188,7 @@ def expectation(params: CodeParams) -> Expectation:
             return Expectation(None)
         w1 = w1_prm(n, d, q)
         if q > 2:
-            options = w2_rm_candidates(n, d - 1, q).options
+            options = w2_rm_candidates(n, d - 1, q)
             return Expectation(w1, (), "<= max{%s}" % ",".join(map(str, options)))
         if d > n:
             return Expectation(w1)

@@ -189,13 +189,13 @@ def test_criterion_4_identity_instances_gf3(reports):
             )
     for d in (1, 2, 3):
         _, rep = reports("rm", 3, 2, d)
-        options = w2_rm_candidates(2, d, 3).options
+        options = w2_rm_candidates(2, d, 3)
         if rep.next_weight not in options:
             failures.append(f"RM(2,{d}) q=3: w2={rep.next_weight} not in {options}")
     for (q, n, d), frozen in QARY_PRM_FIXTURE.items():
         _, rep = reports("prm", q, n, d)
         w1, w2 = rep.min_weight, rep.next_weight
-        options = w2_rm_candidates(n, d - 1, q).options
+        options = w2_rm_candidates(n, d - 1, q)
         if w1 != w1_prm(n, d, q):
             failures.append(f"PRM({n},{d}) q={q}: w1={w1}, expected {w1_prm(n, d, q)}")
         if w2 not in options:

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import prmw.cli
 from prmw.cli import TABLE_COLUMNS, main
 
 
@@ -260,10 +263,73 @@ class TestConfig:
         assert [(r["n"], r["d"]) for r in json.loads(out)] == [(2, 2), (3, 2), (3, 3)]
 
     def test_entry_point_subprocess(self):
+        # the child runs the package under test, installed or not
+        env = dict(os.environ, PYTHONPATH=str(Path(prmw.cli.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "prmw.cli", "witness", "--q", "2", "--n", "3", "--poly", "X0*X3+X1*X2"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "weight: 6" in proc.stdout
+
+
+class TestExactBytes:
+    # the full output of each renderer, byte for byte
+
+    def test_csv_quotes_a_note_with_commas(self, capsys):
+        code, out = run_cli(capsys, "table", "--family", "rm", "--q", "2", "--n", "5", "--d", "2", "--budget", "2048", "--format", "csv")
+        assert code == 2
+        assert out == (
+            "family,q,n,d,length,dimension,w1_formula,w2_formula,w1_brute,w2_brute,match,note\n"
+            'rm,2,5,2,32,16,8,12,,,,"rm(n=5, d=2) over GF(2) counts 16384 messages; needs budget 16384, budget is 2048"\n'
+        )
+
+    def test_text_table_aligns_columns(self, capsys):
+        code, out = run_cli(capsys, "table", "--family", "prm", "--q", "2", "--n", "2..3", "--d", "2..n")
+        assert code == 0
+        assert out == (
+            "family  q  n  d  length  dimension  w1_formula  w2_formula  w1_brute  w2_brute  match  note\n"
+            "prm     2  2  2  7       6          2           4           2         4         true\n"
+            "prm     2  3  2  15      10         4           6           4         6         true\n"
+            "prm     2  3  3  15      14         2           4           2         4         true\n"
+        )
+
+    def test_witness_text_with_certificate(self, capsys):
+        code, out = run_cli(capsys, "witness", "--q", "2", "--n", "2", "--poly", "X0*X1")
+        assert code == 0
+        assert out == (
+            "poly: X0*X1 over GF(2), P^2\n"
+            "weight: 2\n"
+            "support: [5, 6]\n"
+            "avoiding subspace: dim 1, forms [[0, 1, 0]]\n"
+            "hyperplane-union=true certificate=[[0, 1, 0], [1, 0, 0]]\n"
+        )
+
+    def test_witness_text_with_uncovered_zeros(self, capsys):
+        code, out = run_cli(capsys, "witness", "--q", "2", "--n", "3", "--poly", "X0*X3+X1*X2")
+        assert code == 0
+        assert out == (
+            "poly: X0*X3+X1*X2 over GF(2), P^3\n"
+            "weight: 6\n"
+            "support: [5, 6, 8, 10, 12, 13]\n"
+            "avoiding subspace: dim 1, forms [[0, 0, 1, 0], [0, 0, 0, 1]]\n"
+            "hyperplane-union=false uncovered=[0, 1, 2, 3, 4, 7, 9, 11, 14]\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("3..", "error: cannot parse range '3..'"),
+            ("..3", "error: cannot parse range '..3'"),
+            ("x..2", "error: cannot parse range 'x..2'"),
+            ("2..n", "error: cannot parse range '2..n'"),
+            ("3..2", "error: empty n range"),
+        ],
+    )
+    def test_n_range_errors(self, capsys, spec, message):
+        code = main(["table", "--family", "rm", "--q", "2", "--n", spec, "--d", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == message + "\n"
