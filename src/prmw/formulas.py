@@ -83,9 +83,10 @@ def w2_rm_binary(n: int, e: int) -> int:
 def w2_prm_binary(n: int, d: int) -> int:
     """Next-to-minimal weight of PRM(n, d) over GF(2), 2 <= d <= n.
 
-    Equal to w2_rm_binary(n, d-1) except when k = d-2 = 0 and n >= 3,
-    where it drops to 3*2^(n-2).  PRM(n, 1) has a single nonzero weight,
-    so d = 1 has no next-to-minimal weight.
+    Binary PRM(n, d) is RM(n+1, d) shortened at the origin, so this is
+    w2_rm_binary(n+1, d).  It equals w2_rm_binary(n, d-1) except at
+    d = 2, n >= 3, where W2 of RM(n+1, 2) is 3*2^(n-2).  PRM(n, 1) has a
+    single nonzero weight, so d = 1 has no next-to-minimal weight.
     """
     if n < 2:
         raise DomainError(f"n={n} must be >= 2")
@@ -93,10 +94,7 @@ def w2_prm_binary(n: int, d: int) -> int:
         raise DomainError("PRM(n, 1) has no next-to-minimal weight")
     if not 2 <= d <= n:
         raise DomainError(f"d={d} outside [2, {n}] for n={n}")
-    k = d - 2
-    if k == 0 and n >= 3:
-        return 3 * 2 ** (n - 2)
-    return w2_rm_binary(n, d - 1)
+    return w2_rm_binary(n + 1, d)
 
 
 def w2_rm_candidates(n: int, d: int, q: int) -> tuple[int, ...]:

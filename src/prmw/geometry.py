@@ -14,9 +14,10 @@ points matrix, or an iterable of point index sequences; one support is
 a one-element batch) and read every meet size from one supports x
 points @ points x subspaces product per dimension: intersection lower
 bounds for codeword supports, and the first subspace avoiding each
-support.  Whether a zero set is a union of hyperplanes and the
-dehomogenization onto a chart an avoiding hyperplane defines read the
-same incidences.
+support.  Whether a zero set is a union of hyperplanes reads the same
+incidences.  The dehomogenization onto the chart of an avoiding
+hyperplane evaluates the form on that chart and interpolates the values
+on RM(n, d-1).
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .codes import CodeParams, _eliminate, invert_matrix, nullspace, rref
+from .codes import RM, CodeParams, build, nullspace, rref
 from .errors import BudgetExceeded, DomainError
 from .formulas import w1_prm
 from .gfp import GF
-from .points import projective_points, projective_size
+from .points import affine_points, projective_points, projective_size
 from .poly import Poly
 
 SUBSPACE_ENUM_CAP = 10**6
@@ -280,56 +281,33 @@ def zero_set_is_hyperplane_union(f: Poly, n: int, gf: GF) -> HyperplaneCover:
 # -- dehomogenization onto a chart ----------------------------------------------
 
 
-def _complete_to_invertible(forms: np.ndarray, gf: GF) -> np.ndarray:
-    """Extend the given independent rows to an invertible matrix by the
-    first standard basis vectors that keep the rank growing."""
-    m = forms.shape[1]
-    cand = np.vstack([forms % gf.q, np.eye(m, dtype=np.int64)])
-    _, _, kept = _eliminate(cand, gf.q)
-    if kept[: len(forms)] != list(range(len(forms))):
-        raise DomainError("forms are not linearly independent")
-    return cand[kept]
-
-
-def _substitute_linear(f: Poly, a: np.ndarray) -> Poly:
-    """f(A y): replace variable i by the linear form given by row i of A."""
-    gf = f.gf
-    nv = f.nvars
-    lin = [
-        Poly(gf, nv, {tuple(int(j == c) for c in range(nv)): int(a[i, j]) for j in range(nv)})
-        for i in range(nv)
-    ]
-    total = Poly.zero(gf, nv)
-    for exps, coeff in f.terms.items():
-        term = Poly.constant(gf, nv, coeff)
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                term = term * lin[i]
-        total = total + term
-    return total
-
-
 def dehomogenize_on_chart(f: Poly, hyperplane: Subspace) -> Poly:
     """Affine polynomial of degree <= d-1, in n variables, whose affine
-    weight equals |f|, obtained by moving the avoiding hyperplane to
-    X0 = 0 and reading f off the opposite chart."""
+    weight equals |f|: f read on the chart h(x) = 1 of the avoiding
+    hyperplane h = 0 and interpolated on RM(n, d-1).
+
+    The chart solves h(x) = 1 for x_p, p the last variable h involves,
+    and takes the other coordinates from each affine point in order.
+    That f's values there form an RM(n, d-1) codeword is checked."""
     n, gf = f.nvars - 1, f.gf
+    if f.is_zero():
+        raise DomainError("chart reduction requires a nonzero polynomial")
     if not f.is_homogeneous():
         raise DomainError("chart reduction requires a homogeneous polynomial")
     if hyperplane.dim != n - 1 or len(hyperplane.forms) != 1:
         raise DomainError("chart requires a hyperplane (codimension 1)")
     if not set(hyperplane.point_indices).isdisjoint(projective_support(f, n, gf)):
         raise DomainError("support of f meets the hyperplane; chart undefined")
-    h = np.array([hyperplane.forms[0]], dtype=np.int64)
-    r_mat = _complete_to_invertible(h, gf)
-    a_mat = invert_matrix(r_mat, gf)
-    moved = _substitute_linear(f, a_mat)
-    # moved vanishes identically on X0 = 0, so the X0-free part vanishes
-    # at every affine point and only terms divisible by X0 contribute on
-    # the chart X0 = 1
-    terms: dict[tuple[int, ...], int] = {}
-    for exps, c in moved.terms.items():
-        if exps[0] >= 1:
-            rest = exps[1:]
-            terms[rest] = terms.get(rest, 0) + c
-    return Poly(gf, n, terms)
+    h = hyperplane.forms[0]
+    p = max(i for i, c in enumerate(h) if c)
+    rest, inv = h[:p] + h[p + 1 :], gf.inv(h[p])
+    chart = [
+        y[:p] + ((1 - sum(a * b for a, b in zip(rest, y))) * inv % gf.q,) + y[p:]
+        for y in affine_points(n, gf)
+    ]
+    values = np.array([f.evaluate(x) for x in chart], dtype=np.int64)
+    rm = build(CodeParams(RM, gf.q, n, min(f.degree() - 1, n * (gf.q - 1))))
+    msg = values[list(rm.pivots)]
+    if not np.array_equal(msg @ rm.gen % gf.q, values):
+        raise RuntimeError(f"{f} on the chart of {h} is not in RM({n}, {rm.params.d})")
+    return rm.poly_for_message(msg)

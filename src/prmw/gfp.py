@@ -33,7 +33,9 @@ class GF:
     __slots__ = ("q", "_inv")
 
     def __init__(self, q: int) -> None:
-        if not isinstance(q, int) or not is_prime(q):
+        if not isinstance(q, int):
+            raise DomainError(f"q={q!r} must be an int, not {type(q).__name__}")
+        if not is_prime(q):
             raise DomainError(f"q={q!r} is not prime")
         if q not in SUPPORTED_PRIMES:
             raise DomainError(f"q={q} unsupported; expected one of {SUPPORTED_PRIMES}")

@@ -51,10 +51,6 @@ class Poly:
     def constant(cls, gf: GF, nvars: int, c: int) -> "Poly":
         return cls(gf, nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def monomial(cls, gf: GF, nvars: int, exps: Expvec, coeff: int = 1) -> "Poly":
-        return cls(gf, nvars, {tuple(exps): coeff})
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -99,28 +95,6 @@ class Poly:
                 parts.append(f"{c}*" + "*".join(factors))
         return "+".join(parts)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_compatible(self, other: "Poly") -> None:
-        if other.gf != self.gf or other.nvars != self.nvars:
-            raise DomainError("polynomials live in different rings")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + c
-        return Poly(self.gf, self.nvars, terms)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        terms: dict[Expvec, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms.get(exps, 0) + c1 * c2
-        return Poly(self.gf, self.nvars, terms)
-
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point: tuple[int, ...]) -> int:
@@ -156,21 +130,6 @@ class Poly:
         terms = {(d - sum(e),) + e: c for e, c in self.terms.items()}
         return Poly(self.gf, self.nvars + 1, terms)
 
-    def set_first_var(self, value: int) -> "Poly":
-        """Substitute X0 = value, dropping to nvars-1 variables."""
-        if self.nvars < 2:
-            raise DomainError("need at least two variables to substitute one away")
-        q = self.gf.q
-        terms: dict[Expvec, int] = {}
-        for exps, c in self.terms.items():
-            e0, rest = exps[0], exps[1:]
-            if e0:
-                if value == 0:
-                    continue
-                c = c * pow(value, e0, q)
-            terms[rest] = terms.get(rest, 0) + c
-        return Poly(self.gf, self.nvars - 1, terms)
-
 
 def lift_affine(g: Poly, target_degree: int) -> Poly:
     """Lift an affine polynomial to a homogeneous one of the given degree.
@@ -186,9 +145,8 @@ def lift_affine(g: Poly, target_degree: int) -> Poly:
         raise DomainError(
             f"deg(g)={d} must be < target degree {target_degree}"
         )
-    gh = g.homogenize()
-    shift = (target_degree - d,) + (0,) * g.nvars
-    return gh * Poly.monomial(g.gf, g.nvars + 1, shift)
+    terms = {(target_degree - sum(e),) + e: c for e, c in g.terms.items()}
+    return Poly(g.gf, g.nvars + 1, terms)
 
 
 # -- textual syntax ---------------------------------------------------------

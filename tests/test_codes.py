@@ -18,6 +18,7 @@ from prmw import (
     code_to_json,
     projective_points,
     rref,
+    weight_report,
 )
 from prmw.codes import (
     Code,
@@ -30,7 +31,6 @@ from prmw.codes import (
     pack_bits,
     rm_monomials,
 )
-from prmw.geometry import _complete_to_invertible
 from prmw.gfp import SUPPORTED_PRIMES
 from prmw.points import POINT_ORDER_VERSION
 
@@ -185,28 +185,6 @@ class TestEliminate:
             _eliminate(np.ones((2, 3), dtype=np.int64), 17)
 
 
-class TestCompleteToInvertible:
-    @pytest.mark.parametrize("q", [2, 3, 5, 7])
-    def test_first_growing_basis_vectors(self, q):
-        rng = np.random.default_rng(q)
-        for m in (3, 4, 6):
-            for k in range(1, m + 1):
-                forms = rng.integers(0, q, size=(k, m))
-                if rref_oracle(forms, q)[1] < k:
-                    continue
-                rows = list(forms)
-                for i in range(m):
-                    e = np.eye(m, dtype=np.int64)[i]
-                    if rref_oracle(np.vstack(rows + [e]), q)[1] > len(rows):
-                        rows.append(e)
-                got = _complete_to_invertible(forms, GF(q))
-                assert np.array_equal(got, np.vstack(rows))
-
-    def test_dependent_forms_rejected(self):
-        with pytest.raises(DomainError):
-            _complete_to_invertible(np.array([[1, 2, 0], [2, 4, 0]]), GF(5))
-
-
 class TestNullspaceInverse:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_nullspace_annihilates(self, q):
@@ -238,6 +216,12 @@ class TestCodeParams:
     def test_invalid_params(self, family, q, n, d):
         with pytest.raises(DomainError):
             CodeParams(family, q, n, d)
+
+    def test_non_int_q_named(self):
+        # a numpy integer is prime but not an int: the message says so
+        for make in (lambda: GF(np.int64(3)), lambda: CodeParams("prm", np.int64(3), 2, 2)):
+            with pytest.raises(DomainError, match="must be an int, not int64"):
+                make()
 
 
 class TestBuildRm:
@@ -392,6 +376,30 @@ class TestBuildPrm:
         for _ in range(3):
             _, rank, _ = rref(rows[rng.permutation(len(monos))], GF(2))
             assert rank == code.dimension
+
+
+class TestShortenedRm:
+    # binary PRM(n, d) is RM(n+1, d) shortened at the origin: the
+    # codewords vanishing there, with that coordinate dropped
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generator_is_rm_without_origin(self, n):
+        # the RREF is unique and the origin is the first affine point
+        for d in range(1, n + 2):
+            prm = build(CodeParams("prm", 2, n, d))
+            rm = build(CodeParams("rm", 2, n + 1, d))
+            assert np.array_equal(prm.gen, rm.gen[1:, 1:])
+
+    def test_weight_counts_from_rm(self):
+        # RM(n+1, d)'s affine group is transitive on points, so a
+        # weight-w codeword misses the origin in (2^(n+1) - w)/2^(n+1)
+        # of the cases
+        for n in range(2, 6):
+            for d in range(2, n + 1):
+                prm = weight_report(build(CodeParams("prm", 2, n, d))).weight_counts
+                rm = weight_report(build(CodeParams("rm", 2, n + 1, d))).weight_counts
+                for w in set(prm) | set(rm):
+                    assert prm.get(w, 0) * 2 ** (n + 1) == rm.get(w, 0) * (2 ** (n + 1) - w)
 
 
 class TestSerialization:

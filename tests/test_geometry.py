@@ -209,24 +209,28 @@ class TestDehomogenize:
         with pytest.raises(DomainError):
             dehomogenize_on_chart(f, h)
 
-    @pytest.mark.parametrize("q,n,d", [(2, 2, 2), (3, 2, 2)])
+    def test_zero_rejected(self):
+        h = subspace_from_forms([(1, 0, 0)], 2, gf3)
+        with pytest.raises(DomainError):
+            dehomogenize_on_chart(Poly.zero(gf3, 3), h)
+
+    @pytest.mark.parametrize("q,n,d", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 2, 3)])
     def test_weight_preserved_on_every_avoidable_codeword(self, q, n, d):
-        # the chart reduction drops the degree and keeps the weight
+        # the chart reduction drops the degree, keeps the weight and
+        # returns a reduced polynomial
         gf = GF(q)
         code = build(CodeParams("prm", q, n, d))
         apts = affine_points(n, gf)
+        msgs = list(nonzero_messages(code.dimension, q))
+        supports = codeword_support(code, msgs)
         reduced = 0
-        for msg in nonzero_messages(code.dimension, q):
-            support = tuple(np.flatnonzero(codeword_support(code, [msg])[0]).tolist())
-            if not support:
-                continue
-            h = find_avoiding_subspace([support], n, gf, n - 1)[0]
+        for msg, support, h in zip(msgs, supports, find_avoiding_subspace(supports, n, gf, n - 1)):
             if h is None:
                 continue
-            f = code.poly_for_message(msg)
-            g = dehomogenize_on_chart(f, h)
+            g = dehomogenize_on_chart(code.poly_for_message(msg), h)
             assert g.degree() <= d - 1
-            assert sum(1 for p in apts if g.evaluate(p)) == len(support)
+            assert all(e <= q - 1 for exps in g.terms for e in exps)
+            assert sum(1 for p in apts if g.evaluate(p)) == support.sum()
             reduced += 1
         assert reduced > 0
 

@@ -63,15 +63,15 @@ class TestHomogenize:
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_round_trip_on_reduced_polys(self, q):
-        # homogenize then set the new variable to 1 is the identity for
-        # representatives with all exponents < q
+        # homogenize then drop the new variable's exponent (set it to 1)
+        # is the identity for representatives with all exponents < q
         gf = GF(q)
         monos = list(product(range(q), repeat=2))
         for coeffs in product(range(q), repeat=len(monos)):
             g = Poly(gf, 2, {e: c for e, c in zip(monos, coeffs) if c})
             if g.is_zero():
                 continue
-            assert g.homogenize().set_first_var(1) == g
+            assert {e[1:]: c for e, c in g.homogenize().terms.items()} == g.terms
 
 
 class TestLift:
@@ -82,6 +82,10 @@ class TestLift:
     def test_with_constant_term(self):
         g = parse_poly("X0*X1+1", 3, gf2)
         assert lift_affine(g, 3) == parse_poly("X0*X1*X2+X0^3", 4, gf2)
+
+    def test_gf3_square(self):
+        g = parse_poly("X0^2+X1", 2, gf3)
+        assert lift_affine(g, 3) == parse_poly("X0*X1^2+X0^2*X2", 3, gf3)
 
     def test_degree_too_large(self):
         g = parse_poly("X0*X1", 2, gf2)

@@ -25,6 +25,11 @@ def test_no_assert_in_package():
     assert asserts == []
 
 
+def test_public_names_resolve():
+    # every name the package exports is defined on it
+    assert [name for name in prmw.__all__ if not hasattr(prmw, name)] == []
+
+
 def test_reads_only_the_blas_thread_variable():
     # an option is set one way, by its flag: the package reads no
     # environment variable but the BLAS thread count it sets for numpy
