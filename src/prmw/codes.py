@@ -12,8 +12,8 @@ rank of the evaluation matrix; no closed dimension formula is assumed
 anywhere.  The vanishing-ideal quotients are realized as the row space
 (image) and the kernel of that matrix.
 
-GF(q) linear algebra lives here too: rref, nullspace and inverse are
-thin wrappers around the same ``_eliminate``, on int64 arrays with mod-q
+GF(q) linear algebra lives here too: rref and nullspace are thin
+wrappers around the same ``_eliminate``, on int64 arrays with mod-q
 arithmetic.
 
 Serialization: ``code_to_json`` renders the generator rows in one array
@@ -38,7 +38,7 @@ from .points import (
     affine_points,
     projective_points,
 )
-from .poly import Expvec, Poly
+from .poly import Expvec
 
 RM = "rm"
 PRM = "prm"
@@ -157,19 +157,6 @@ def nullspace(mat: np.ndarray, gf: GF) -> np.ndarray:
     return basis
 
 
-def invert_matrix(mat: np.ndarray, gf: GF) -> np.ndarray:
-    """Inverse of a square matrix over GF(q); DomainError if singular."""
-    m = np.array(mat, dtype=np.int64) % gf.q
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise DomainError("matrix is not square")
-    aug = np.hstack([m, np.eye(n, dtype=np.int64)])
-    red, rank, _ = rref(aug, gf)
-    if rank < n or not np.array_equal(red[:, :n], np.eye(n, dtype=np.int64)):
-        raise DomainError("matrix is singular over GF(q)")
-    return red[:, n:]
-
-
 # -- monomial bases ----------------------------------------------------------
 
 
@@ -207,30 +194,20 @@ def _bounded_compositions(total: int, parts: int, bound: int) -> list[Expvec]:
 # -- code construction --------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class Code:
     """A linear evaluation code with a row-reduced generator matrix.
 
-    Column j of ``gen`` is the evaluation at ``points[j]``; the point
-    list is the canonical enumeration.  ``basis_monomials`` are the
-    monomials (in generation order) whose evaluation rows were kept as a
-    basis; ``gen`` is the RREF of those rows, so it has full row rank
-    and ``pivots`` are its pivot columns.
+    Column j of ``gen`` is the evaluation at point j of the canonical
+    enumeration (``affine_points`` for RM, ``projective_points`` for
+    PRM).  ``basis_monomials`` are the monomials (in generation order)
+    whose evaluation rows were kept as a basis; ``gen`` is the RREF of
+    those rows, so it has full row rank.
     """
 
-    def __init__(
-        self,
-        params: CodeParams,
-        gen: np.ndarray,
-        basis_monomials: tuple[Expvec, ...],
-        points: list[Point],
-        pivots: tuple[int, ...],
-    ) -> None:
-        self.params = params
-        self.gen = gen
-        self.basis_monomials = basis_monomials
-        self.points = points
-        self.pivots = pivots
-        self._to_monomial_coeffs: np.ndarray | None = None
+    params: CodeParams
+    gen: np.ndarray
+    basis_monomials: tuple[Expvec, ...]
 
     @property
     def length(self) -> int:
@@ -251,40 +228,18 @@ class Code:
             f"[{self.length}, {self.dimension}])"
         )
 
-    def poly_for_message(self, message) -> Poly:
-        """A polynomial over the kept monomials whose evaluation is the
-        codeword of ``message``."""
-        gf = self.gf
-        msg = np.asarray(message, dtype=np.int64)
-        if msg.shape != (self.dimension,):
-            raise DomainError(
-                f"message length {msg.shape} does not match dimension {self.dimension}"
-            )
-        if self._to_monomial_coeffs is None:
-            raw = _evaluate_monomials(
-                self.basis_monomials, np.array(self.points, dtype=np.int64), gf.q
-            )
-            # gen = T raw with T the inverse of raw on the pivot columns,
-            # so monomial coefficients for a message m are m T
-            self._to_monomial_coeffs = invert_matrix(raw[:, list(self.pivots)], gf)
-        coeffs = (msg @ self._to_monomial_coeffs) % gf.q
-        nvars = len(self.basis_monomials[0])
-        return Poly(gf, nvars, dict(zip(self.basis_monomials, (int(c) for c in coeffs))))
 
-
-def _evaluate_monomials(exps: list[Expvec], pts: np.ndarray, q: int) -> np.ndarray:
+def evaluate_monomials(exps: list[Expvec], pts: np.ndarray, q: int) -> np.ndarray:
     """Row i is the monomial ``exps[i]`` evaluated at every point, mod q.
 
-    A power table ``x^e mod q`` keeps everything reduced (exponents can
-    exceed what int64 ``x**e`` would tolerate).  Per variable, its
-    columns at the points' coordinates give one slice, whose rows are
-    gathered by exponent into the monomials that use the variable;
-    residues <= 12 keep every product inside uint8."""
-    e = np.array(exps, dtype=np.int64).reshape(len(exps), pts.shape[1])
-    powtab = np.array(
-        [[pow(x, k, q) for x in range(q)] for k in range(int(e.max(initial=0)) + 1)],
-        dtype=np.uint8,
-    )
+    Exponents e >= 1 become (e - 1) mod (q - 1) + 1, equal as powers on
+    GF(q), so one power table ``x^e mod q`` of q rows serves any degree.
+    Per variable, its columns at the points' coordinates give one slice,
+    whose rows are gathered by exponent into the monomials that use the
+    variable; residues <= 12 keep every product inside uint8."""
+    e = np.array([[k and (k - 1) % (q - 1) + 1 for k in m] for m in exps], dtype=np.int64)
+    e = e.reshape(len(exps), pts.shape[1])
+    powtab = np.array([[pow(x, k, q) for x in range(q)] for k in range(q)], dtype=np.uint8)
     out = np.ones((e.shape[0], pts.shape[0]), dtype=np.uint8)
     for i in range(pts.shape[1]):
         rows = np.flatnonzero(e[:, i])
@@ -295,9 +250,9 @@ def _evaluate_monomials(exps: list[Expvec], pts: np.ndarray, q: int) -> np.ndarr
 def _build(params: CodeParams, monomials: list[Expvec], points: list[Point]) -> Code:
     # greedy: keep the monomials whose rows grow the rank, so
     # basis_monomials is an actual monomial subset
-    evaluated = _evaluate_monomials(monomials, np.array(points, dtype=np.int64), params.q)
-    gen, pivots, kept = _eliminate(evaluated, params.q)
-    return Code(params, gen, tuple(monomials[i] for i in kept), points, tuple(pivots))
+    evaluated = evaluate_monomials(monomials, np.array(points, dtype=np.int64), params.q)
+    gen, _, kept = _eliminate(evaluated, params.q)
+    return Code(params, gen, tuple(monomials[i] for i in kept))
 
 
 def build_rm(params: CodeParams) -> Code:

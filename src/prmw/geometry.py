@@ -15,9 +15,9 @@ a one-element batch) and read every meet size from one supports x
 points @ points x subspaces product per dimension: intersection lower
 bounds for codeword supports, and the first subspace avoiding each
 support.  Whether a zero set is a union of hyperplanes reads the same
-incidences.  The dehomogenization onto the chart of an avoiding
-hyperplane evaluates the form on that chart and interpolates the values
-on RM(n, d-1).
+incidences.  A form is evaluated at all points at once by the codes'
+monomial evaluator; on the chart of an avoiding hyperplane its values
+are interpolated one variable at a time to the reduced polynomial.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .codes import RM, CodeParams, build, nullspace, rref
+from .codes import CodeParams, evaluate_monomials, nullspace, rref
 from .errors import BudgetExceeded, DomainError
 from .formulas import w1_prm
 from .gfp import GF
@@ -36,6 +36,7 @@ from .points import affine_points, projective_points, projective_size
 from .poly import Poly
 
 SUBSPACE_ENUM_CAP = 10**6
+INCIDENCE_ENTRY_CAP = 1 << 26  # of the subspaces x forms x points product
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,12 @@ def _subspaces(n: int, q: int, s: int) -> tuple[np.ndarray, np.ndarray]:
             f"enumerating dimension-{s} subspaces of P^{n}(GF({q})) "
             f"needs {count} subspaces, cap is {SUBSPACE_ENUM_CAP}"
         )
+    entries = count * (n - s) * projective_size(n, q)
+    if entries > INCIDENCE_ENTRY_CAP:
+        raise BudgetExceeded(
+            f"the incidence of dimension-{s} subspaces of P^{n}(GF({q})) "
+            f"needs {entries} entries, cap is {INCIDENCE_ENTRY_CAP}"
+        )
     rows_n = s + 1
     cols = n + 1
     blocks = []
@@ -141,11 +148,17 @@ def subspace_from_forms(forms, n: int, gf: GF) -> Subspace:
 # -- support predicates -------------------------------------------------------
 
 
+def _evaluate(f: Poly, pts: np.ndarray) -> np.ndarray:
+    """f at every row of ``pts``, mod q."""
+    coeffs = np.array(list(f.terms.values()), dtype=np.int64)
+    return coeffs @ evaluate_monomials(list(f.terms), pts, f.gf.q) % f.gf.q
+
+
 def projective_support(f: Poly, n: int, gf: GF) -> tuple[int, ...]:
     """Indices of the standard points of P^n where f does not vanish."""
     if f.nvars != n + 1:
         raise DomainError(f"polynomial has {f.nvars} variables, expected {n + 1}")
-    return tuple(i for i, p in enumerate(_proj_points(n, gf.q).tolist()) if f.evaluate(p))
+    return tuple(np.flatnonzero(_evaluate(f, _proj_points(n, gf.q))).tolist())
 
 
 def _support_rows(supports, n: int, q: int) -> np.ndarray:
@@ -284,12 +297,16 @@ def zero_set_is_hyperplane_union(f: Poly, n: int, gf: GF) -> HyperplaneCover:
 def dehomogenize_on_chart(f: Poly, hyperplane: Subspace) -> Poly:
     """Affine polynomial of degree <= d-1, in n variables, whose affine
     weight equals |f|: f read on the chart h(x) = 1 of the avoiding
-    hyperplane h = 0 and interpolated on RM(n, d-1).
+    hyperplane h = 0 and interpolated to its reduced polynomial.
 
     The chart solves h(x) = 1 for x_p, p the last variable h involves,
     and takes the other coordinates from each affine point in order.
-    That f's values there form an RM(n, d-1) codeword is checked."""
-    n, gf = f.nvars - 1, f.gf
+    The Lagrange matrix L takes a function's values on GF(q) to its
+    coefficients of x^0..x^(q-1); applied along every axis of the
+    values as a q x ... x q array it leaves each monomial's coefficient
+    at its exponent vector.  A degree below deg f (the values form an
+    RM(n, d-1) codeword) is checked."""
+    n, gf, q = f.nvars - 1, f.gf, f.gf.q
     if f.is_zero():
         raise DomainError("chart reduction requires a nonzero polynomial")
     if not f.is_homogeneous():
@@ -298,16 +315,19 @@ def dehomogenize_on_chart(f: Poly, hyperplane: Subspace) -> Poly:
         raise DomainError("chart requires a hyperplane (codimension 1)")
     if not set(hyperplane.point_indices).isdisjoint(projective_support(f, n, gf)):
         raise DomainError("support of f meets the hyperplane; chart undefined")
-    h = hyperplane.forms[0]
-    p = max(i for i, c in enumerate(h) if c)
-    rest, inv = h[:p] + h[p + 1 :], gf.inv(h[p])
-    chart = [
-        y[:p] + ((1 - sum(a * b for a, b in zip(rest, y))) * inv % gf.q,) + y[p:]
-        for y in affine_points(n, gf)
-    ]
-    values = np.array([f.evaluate(x) for x in chart], dtype=np.int64)
-    rm = build(CodeParams(RM, gf.q, n, min(f.degree() - 1, n * (gf.q - 1))))
-    msg = values[list(rm.pivots)]
-    if not np.array_equal(msg @ rm.gen % gf.q, values):
-        raise RuntimeError(f"{f} on the chart of {h} is not in RM({n}, {rm.params.d})")
-    return rm.poly_for_message(msg)
+    h = np.array(hyperplane.forms[0], dtype=np.int64)
+    p = int(np.flatnonzero(h)[-1])
+    y = np.array(affine_points(n, gf), dtype=np.int64)
+    xp = (1 - y @ np.delete(h, p)) * gf.inv(int(h[p])) % q
+    coeffs = _evaluate(f, np.insert(y, p, xp, axis=1)).reshape((q,) * n)
+    # L[0, 0] = 1, L[q-1, 0] = -1, L[e, x] = -x^(q-1-e) for e, x >= 1
+    lag = np.zeros((q, q), dtype=np.int64)
+    lag[0, 0], lag[q - 1, 0] = 1, -1
+    lag[1:, 1:] = -(np.arange(1, q) ** np.arange(q - 2, -1, -1)[:, None])
+    for i in range(n):
+        coeffs = np.moveaxis(np.tensordot(lag, coeffs, axes=(1, i)), 0, i) % q
+    terms = dict(zip(map(tuple, np.argwhere(coeffs).tolist()), coeffs[coeffs != 0].tolist()))
+    d = min(f.degree() - 1, n * (q - 1))
+    if max(map(sum, terms), default=0) > d:
+        raise RuntimeError(f"{f} on the chart of {hyperplane.forms[0]} is not in RM({n}, {d})")
+    return Poly(gf, n, terms)

@@ -285,17 +285,19 @@ def test_criterion_8_lift_weight_preservation():
 
 def test_criterion_9_minimal_codewords_are_hyperplane_unions():
     code = build(CodeParams("prm", 2, 3, 2))
-    msgs, supports = all_nonzero_codeword_supports(code)
+    # every codeword is the form sum c_i m_i over the basis monomials m_i
+    coeffs = [c for c in product((0, 1), repeat=code.dimension) if any(c)]
+    forms = [Poly(gf2, 4, dict(zip(code.basis_monomials, c))) for c in coeffs]
+    supports = [projective_support(f, 3, gf2) for f in forms]
     failures = []
     w1 = min(len(s) for s in supports)
     minimal = 0
-    for msg, support in zip(msgs, supports):
+    for f, support in zip(forms, supports):
         if len(support) != w1:
             continue
         minimal += 1
-        f = code.poly_for_message(msg)
         if not zero_set_is_hyperplane_union(f, 3, gf2).is_union:
-            failures.append(f"minimal codeword {tuple(msg)} is not a hyperplane union")
+            failures.append(f"minimal codeword {f} is not a hyperplane union")
     quadric = parse_poly("X0*X3+X1*X2", 4, gf2)
     if zero_set_is_hyperplane_union(quadric, 3, gf2).is_union:
         failures.append("quadric zero set reported as a hyperplane union")

@@ -228,6 +228,14 @@ class TestWitness:
         monkeypatch.setenv("PRMW_BUDGET", "abc")
         assert main(["witness", "--q", "2", "--n", "3", "--poly", "X0*X3+X1*X2"]) == 0
 
+    def test_oversized_incidence_refused(self, capsys):
+        # the hyperplanes of P^13/GF(2) need a 16383 x 16383 incidence
+        # product, 4.5 GB as int64: refused before it is allocated
+        start = time.perf_counter()
+        assert main(["witness", "--q", "2", "--n", "13", "--poly", "X0*X1"]) == 2
+        assert time.perf_counter() - start < 10
+        assert "needs 268402689 entries, cap is 67108864" in capsys.readouterr().err
+
 
 class TestConfig:
     @pytest.mark.parametrize(

@@ -23,10 +23,9 @@ from prmw import (
 from prmw.codes import (
     Code,
     _eliminate,
-    _evaluate_monomials,
     bitdump_to_rows,
+    evaluate_monomials,
     homogeneous_monomials,
-    invert_matrix,
     nullspace,
     pack_bits,
     rm_monomials,
@@ -197,16 +196,6 @@ class TestNullspaceInverse:
         _, nsrank, _ = rref(ns, GF(q))
         assert nsrank == ns.shape[0]
 
-    def test_inverse(self):
-        gf = GF(3)
-        m = np.array([[1, 2, 0], [0, 1, 1], [1, 0, 0]])
-        inv = invert_matrix(m, gf)
-        assert np.array_equal((m @ inv) % 3, np.eye(3, dtype=int))
-
-    def test_singular_rejected(self):
-        with pytest.raises(DomainError):
-            invert_matrix(np.array([[1, 1], [1, 1]]), GF(2))
-
 
 class TestCodeParams:
     @pytest.mark.parametrize(
@@ -272,11 +261,9 @@ class TestConstruction:
     def test_matches_row_at_a_time_greedy(self, family, q, n, d):
         code = build(CodeParams(family, q, n, d))
         monos = rm_monomials(n, d, q) if family == "rm" else homogeneous_monomials(n + 1, d)
-        kept, pivots, rows = greedy_oracle(
-            _evaluate_monomials(monos, np.array(code.points, dtype=np.int64), q), q
-        )
+        pts = affine_points(n, GF(q)) if family == "rm" else projective_points(n, GF(q))
+        kept, _, rows = greedy_oracle(evaluate_monomials(monos, np.array(pts, dtype=np.int64), q), q)
         assert code.gen.dtype == np.int64 and np.array_equal(code.gen, rows)
-        assert code.pivots == tuple(pivots)
         assert code.basis_monomials == tuple(monos[i] for i in kept)
 
     def test_rm_dropped_row_raises(self, monkeypatch):
@@ -315,9 +302,18 @@ class TestEvaluateMonomials:
         # exponents up to 12 and degree above q, against x^e mod q per cell
         monos = rm_monomials(n, d, q) if family == "rm" else homogeneous_monomials(n + 1, d)
         pts = affine_points(n, GF(q)) if family == "rm" else projective_points(n, GF(q))
-        got = _evaluate_monomials(monos, np.array(pts, dtype=np.int64), q)
+        got = evaluate_monomials(monos, np.array(pts, dtype=np.int64), q)
         assert got.dtype == np.uint8
         expected = [[int(np.prod([pow(x, e, q) for x, e in zip(p, m)])) % q for p in pts] for m in monos]
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+    def test_exponents_far_above_q(self, q):
+        # exponents past any power table's rows, and one past int64
+        exps = [(10**6 + 1, 0), (q, 2 * q - 1), (10**6, 3), (0, 2**70 + 5), (q - 1, 1)]
+        pts = affine_points(2, GF(q))
+        got = evaluate_monomials(exps, np.array(pts, dtype=np.int64), q)
+        expected = [[pow(x, a, q) * pow(y, b, q) % q for x, y in pts] for a, b in exps]
         assert got.tolist() == expected
 
 
@@ -353,12 +349,13 @@ class TestBuildPrm:
 
     def test_column_point_correspondence(self):
         code = build_prm(CodeParams("prm", 2, 2, 2))
-        assert code.points == projective_points(2, GF(2))
+        pts = projective_points(2, GF(2))
+        assert code.length == len(pts)
         # each basis monomial's evaluation lies in the row space
         for mono in code.basis_monomials:
             row = [
                 int(np.prod([c**e for c, e in zip(p, mono)])) % 2
-                for p in code.points
+                for p in pts
             ]
             stacked = np.vstack([code.gen, row])
             _, rank, _ = rref(stacked, GF(2))
@@ -368,10 +365,10 @@ class TestBuildPrm:
         code = build_prm(CodeParams("prm", 2, 3, 2))
         rng = np.random.default_rng(3)
         monos = homogeneous_monomials(4, 2)
-        pts = np.array(code.points)
+        pts = projective_points(3, GF(2))
         rows = []
         for e in monos:
-            rows.append([int(np.prod([c**x for c, x in zip(p, e)])) % 2 for p in code.points])
+            rows.append([int(np.prod([c**x for c, x in zip(p, e)])) % 2 for p in pts])
         rows = np.array(rows)
         for _ in range(3):
             _, rank, _ = rref(rows[rng.permutation(len(monos))], GF(2))
@@ -463,7 +460,7 @@ class TestSerialization:
         gens = [code.gen, rng.integers(0, q, size=(1, 40)), rng.integers(0, q, size=(9, 1))]
         gens.append(np.arange(q).reshape(1, q))
         for gen in gens:
-            other = Code(code.params, gen, code.basis_monomials, code.points, code.pivots)
+            other = Code(code.params, gen, code.basis_monomials)
             doc = {
                 "family": "prm",
                 "q": q,

@@ -70,7 +70,7 @@ def _full_scan_witnesses_qp(gen, q, targets):
 
 def _matrix_code(gen, q):
     # naive_weight_counts reads only the generator and q
-    return Code(CodeParams("rm", q, 1, 0), gen, (), [], ())
+    return Code(CodeParams("rm", q, 1, 0), gen, ())
 
 
 @pytest.mark.parametrize("family,q,n,d", _instances())

@@ -25,6 +25,7 @@ from prmw import (
     w1_prm,
     zero_set_is_hyperplane_union,
 )
+from prmw.codes import evaluate_monomials, homogeneous_monomials, rref
 from prmw.geometry import BoundViolation
 
 gf2 = GF(2)
@@ -214,20 +215,30 @@ class TestDehomogenize:
         with pytest.raises(DomainError):
             dehomogenize_on_chart(Poly.zero(gf3, 3), h)
 
-    @pytest.mark.parametrize("q,n,d", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 2, 3)])
+    def test_vanishing_form_reduces_to_zero(self):
+        # X0^2*X1 + X0*X1^2 vanishes on every point of P^2/GF(2), so it
+        # avoids every hyperplane and its chart values are all zero
+        f = parse_poly("X0^2*X1+X0*X1^2", 3, gf2)
+        h = subspace_from_forms([(0, 0, 1)], 2, gf2)
+        assert projective_support(f, 2, gf2) == ()
+        assert dehomogenize_on_chart(f, h) == Poly.zero(gf2, 2)
+
+    @pytest.mark.parametrize("q,n,d", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 2, 3), (5, 2, 2)])
     def test_weight_preserved_on_every_avoidable_codeword(self, q, n, d):
         # the chart reduction drops the degree, keeps the weight and
-        # returns a reduced polynomial
+        # returns a reduced polynomial; every codeword is the form
+        # sum c_i m_i over the basis monomials m_i
         gf = GF(q)
         code = build(CodeParams("prm", q, n, d))
         apts = affine_points(n, gf)
-        msgs = list(nonzero_messages(code.dimension, q))
-        supports = codeword_support(code, msgs)
+        coeffs = np.array(list(nonzero_messages(code.dimension, q)), dtype=np.int64)
+        pts = np.array(projective_points(n, gf), dtype=np.int64)
+        supports = coeffs @ evaluate_monomials(code.basis_monomials, pts, q) % q != 0
         reduced = 0
-        for msg, support, h in zip(msgs, supports, find_avoiding_subspace(supports, n, gf, n - 1)):
+        for c, support, h in zip(coeffs, supports, find_avoiding_subspace(supports, n, gf, n - 1)):
             if h is None:
                 continue
-            g = dehomogenize_on_chart(code.poly_for_message(msg), h)
+            g = dehomogenize_on_chart(Poly(gf, n + 1, dict(zip(code.basis_monomials, c.tolist()))), h)
             assert g.degree() <= d - 1
             assert all(e <= q - 1 for exps in g.terms for e in exps)
             assert sum(1 for p in apts if g.evaluate(p)) == support.sum()
@@ -262,11 +273,28 @@ class TestSupportExtraction:
             projective_support(parse_poly("X0", 2, gf2), 2, gf2)
 
     def test_matches_codeword_support(self):
+        # a form over the basis monomials is the codeword whose message
+        # is its values at the pivot columns of the RREF generator
         code = build(CodeParams("prm", 2, 2, 2))
-        for msg in [(1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1), (1, 1, 1, 1, 1, 1)]:
-            f = code.poly_for_message(msg)
-            (row,) = codeword_support(code, [msg])
+        pts = projective_points(2, gf2)
+        _, _, pivots = rref(code.gen, gf2)
+        for coeffs in [(1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1), (1, 1, 1, 1, 1, 1)]:
+            f = Poly(gf2, 3, dict(zip(code.basis_monomials, coeffs)))
+            (row,) = codeword_support(code, [[f.evaluate(pts[c]) for c in pivots]])
             assert projective_support(f, 2, gf2) == tuple(np.flatnonzero(row).tolist())
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_matches_pointwise_evaluation(self, q):
+        # random forms of degree up to 3q, so exponents >= q occur
+        gf, rng = GF(q), np.random.default_rng(q)
+        n = 3 if q < 5 else 2
+        pts = projective_points(n, gf)
+        for _ in range(25):
+            monos = homogeneous_monomials(n + 1, int(rng.integers(1, 3 * q + 1)))
+            picks = rng.choice(len(monos), size=min(4, len(monos)), replace=False)
+            f = Poly(gf, n + 1, {monos[i]: int(rng.integers(1, q)) for i in picks})
+            expected = tuple(i for i, p in enumerate(pts) if f.evaluate(p))
+            assert projective_support(f, n, gf) == expected
 
 
 # -- batched predicates against a per-support reference ------------------------

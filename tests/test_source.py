@@ -25,6 +25,19 @@ def test_no_assert_in_package():
     assert asserts == []
 
 
+def test_no_private_name_imported_across_modules():
+    # a leading underscore keeps a name inside its module
+    imports = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(Path(prmw.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imports == []
+
+
 def test_public_names_resolve():
     # every name the package exports is defined on it
     assert [name for name in prmw.__all__ if not hasattr(prmw, name)] == []

@@ -395,9 +395,7 @@ class TestBasisInvariance:
             _, rank, _ = rref(t, GF(q))
             if rank == dim:
                 break
-        scrambled = Code(
-            code.params, (t @ code.gen) % q, code.basis_monomials, code.points, code.pivots
-        )
+        scrambled = Code(code.params, (t @ code.gen) % q, code.basis_monomials)
         assert naive_weight_counts(scrambled) == weight_report(code).weight_counts
 
 
@@ -427,7 +425,7 @@ class TestMacWilliams:
         counts = weight_report(code).weight_counts
         length = code.length
         dual_gen = nullspace(code.gen, GF(q))
-        dual = Code(code.params, dual_gen, code.basis_monomials, code.points, code.pivots)
+        dual = Code(code.params, dual_gen, code.basis_monomials)
         dual_counts = naive_weight_counts(dual, limit=1 << 20)
         size = q**code.dimension
         for j in range(length + 1):
