@@ -30,7 +30,6 @@ from .formulas import (
 from .geometry import (
     Subspace,
     check_subspace_bounds,
-    dehomogenize_on_chart,
     enumerate_subspaces,
     find_avoiding_subspace,
     find_avoiding_subspace_at_least,
@@ -40,8 +39,8 @@ from .geometry import (
     zero_set_is_hyperplane_union,
 )
 from .gfp import GF
-from .points import affine_points, projective_points, standardize
-from .poly import Poly, lift_affine, parse_poly
+from .points import affine_points, projective_points
+from .poly import Poly, parse_poly
 from .weights import (
     WeightReport,
     Witness,
@@ -73,19 +72,16 @@ __all__ = [
     "code_to_bitdump",
     "code_to_json",
     "codeword_support",
-    "dehomogenize_on_chart",
     "enumerate_subspaces",
     "find_avoiding_subspace",
     "find_avoiding_subspace_at_least",
     "gaussian_binomial",
-    "lift_affine",
     "naive_weight_counts",
     "parse_poly",
     "projective_points",
     "projective_support",
     "report_to_json",
     "rref",
-    "standardize",
     "subspace_from_forms",
     "weight_report",
     "w1_prm",

@@ -2,8 +2,9 @@
 
 A code is built by evaluating a deterministic monomial list at the
 canonical point enumeration and row-reducing.  The whole evaluation
-matrix (monomials x points) is one uint8 array, gathered from a power
-table one variable at a time; ``_eliminate`` then visits its rows in
+matrix (monomials x points) is one uint8 array, refused from its size
+past ``ENTRY_CAP`` entries and otherwise gathered from a power table
+one variable at a time; ``_eliminate`` then visits its rows in
 monomial order, keeps each row still nonzero when visited, and clears
 that row's pivot column from every other row in one whole-matrix update.
 The rows are stored per field size, as 64-bit words updated by XOR for
@@ -30,13 +31,15 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 from .gfp import GF
 from .points import (
+    ENTRY_CAP,
     POINT_ORDER_VERSION,
-    Point,
     affine_points,
+    affine_size,
     projective_points,
+    projective_size,
 )
 from .poly import Expvec
 
@@ -247,11 +250,22 @@ def evaluate_monomials(exps: list[Expvec], pts: np.ndarray, q: int) -> np.ndarra
     return out
 
 
-def _build(params: CodeParams, monomials: list[Expvec], points: list[Point]) -> Code:
+def _build(params: CodeParams, monomials: list[Expvec]) -> Code:
+    n, q = params.n, params.q
+    rm = params.family == RM
+    # the evaluation matrix is monomials x points: refuse it before any
+    # point is listed
+    entries = len(monomials) * (affine_size(n, q) if rm else projective_size(n, q))
+    if entries > ENTRY_CAP:
+        raise BudgetExceeded(
+            f"the evaluation matrix of {params.family}(n={n}, d={params.d}) over GF({q}) "
+            f"needs {entries} entries, cap is {ENTRY_CAP}"
+        )
+    points = (affine_points if rm else projective_points)(n, GF(q))
     # greedy: keep the monomials whose rows grow the rank, so
     # basis_monomials is an actual monomial subset
-    evaluated = evaluate_monomials(monomials, np.array(points, dtype=np.int64), params.q)
-    gen, _, kept = _eliminate(evaluated, params.q)
+    evaluated = evaluate_monomials(monomials, np.array(points, dtype=np.int64), q)
+    gen, _, kept = _eliminate(evaluated, q)
     return Code(params, gen, tuple(monomials[i] for i in kept))
 
 
@@ -260,7 +274,7 @@ def build_rm(params: CodeParams) -> Code:
     if params.family != RM:
         raise DomainError(f"expected family {RM!r}, got {params.family!r}")
     monomials = rm_monomials(params.n, params.d, params.q)
-    code = _build(params, monomials, affine_points(params.n, GF(params.q)))
+    code = _build(params, monomials)
     # evaluation on the reduced monomial basis is injective; check it
     if code.dimension != len(monomials):
         raise RuntimeError(
@@ -277,7 +291,7 @@ def build_prm(params: CodeParams) -> Code:
     if params.family != PRM:
         raise DomainError(f"expected family {PRM!r}, got {params.family!r}")
     monomials = homogeneous_monomials(params.n + 1, params.d)
-    return _build(params, monomials, projective_points(params.n, GF(params.q)))
+    return _build(params, monomials)
 
 
 def build(params: CodeParams) -> Code:

@@ -16,8 +16,7 @@ points @ points x subspaces product per dimension: intersection lower
 bounds for codeword supports, and the first subspace avoiding each
 support.  Whether a zero set is a union of hyperplanes reads the same
 incidences.  A form is evaluated at all points at once by the codes'
-monomial evaluator; on the chart of an avoiding hyperplane its values
-are interpolated one variable at a time to the reduced polynomial.
+monomial evaluator.
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ from .codes import CodeParams, evaluate_monomials, nullspace, rref
 from .errors import BudgetExceeded, DomainError
 from .formulas import w1_prm
 from .gfp import GF
-from .points import affine_points, projective_points, projective_size
+from .points import ENTRY_CAP, projective_points, projective_size
 from .poly import Poly
 
 SUBSPACE_ENUM_CAP = 10**6
-INCIDENCE_ENTRY_CAP = 1 << 26  # of the subspaces x forms x points product
 
 
 @dataclass(frozen=True)
@@ -95,10 +93,10 @@ def _subspaces(n: int, q: int, s: int) -> tuple[np.ndarray, np.ndarray]:
             f"needs {count} subspaces, cap is {SUBSPACE_ENUM_CAP}"
         )
     entries = count * (n - s) * projective_size(n, q)
-    if entries > INCIDENCE_ENTRY_CAP:
+    if entries > ENTRY_CAP:
         raise BudgetExceeded(
             f"the incidence of dimension-{s} subspaces of P^{n}(GF({q})) "
-            f"needs {entries} entries, cap is {INCIDENCE_ENTRY_CAP}"
+            f"needs {entries} entries, cap is {ENTRY_CAP}"
         )
     rows_n = s + 1
     cols = n + 1
@@ -290,44 +288,3 @@ def zero_set_is_hyperplane_union(f: Poly, n: int, gf: GF) -> HyperplaneCover:
     hyperplanes = tuple(_subspace(forms[j], inc[j]) for j in np.flatnonzero(contained))
     return HyperplaneCover(not uncovered, hyperplanes, uncovered)
 
-
-# -- dehomogenization onto a chart ----------------------------------------------
-
-
-def dehomogenize_on_chart(f: Poly, hyperplane: Subspace) -> Poly:
-    """Affine polynomial of degree <= d-1, in n variables, whose affine
-    weight equals |f|: f read on the chart h(x) = 1 of the avoiding
-    hyperplane h = 0 and interpolated to its reduced polynomial.
-
-    The chart solves h(x) = 1 for x_p, p the last variable h involves,
-    and takes the other coordinates from each affine point in order.
-    The Lagrange matrix L takes a function's values on GF(q) to its
-    coefficients of x^0..x^(q-1); applied along every axis of the
-    values as a q x ... x q array it leaves each monomial's coefficient
-    at its exponent vector.  A degree below deg f (the values form an
-    RM(n, d-1) codeword) is checked."""
-    n, gf, q = f.nvars - 1, f.gf, f.gf.q
-    if f.is_zero():
-        raise DomainError("chart reduction requires a nonzero polynomial")
-    if not f.is_homogeneous():
-        raise DomainError("chart reduction requires a homogeneous polynomial")
-    if hyperplane.dim != n - 1 or len(hyperplane.forms) != 1:
-        raise DomainError("chart requires a hyperplane (codimension 1)")
-    if not set(hyperplane.point_indices).isdisjoint(projective_support(f, n, gf)):
-        raise DomainError("support of f meets the hyperplane; chart undefined")
-    h = np.array(hyperplane.forms[0], dtype=np.int64)
-    p = int(np.flatnonzero(h)[-1])
-    y = np.array(affine_points(n, gf), dtype=np.int64)
-    xp = (1 - y @ np.delete(h, p)) * gf.inv(int(h[p])) % q
-    coeffs = _evaluate(f, np.insert(y, p, xp, axis=1)).reshape((q,) * n)
-    # L[0, 0] = 1, L[q-1, 0] = -1, L[e, x] = -x^(q-1-e) for e, x >= 1
-    lag = np.zeros((q, q), dtype=np.int64)
-    lag[0, 0], lag[q - 1, 0] = 1, -1
-    lag[1:, 1:] = -(np.arange(1, q) ** np.arange(q - 2, -1, -1)[:, None])
-    for i in range(n):
-        coeffs = np.moveaxis(np.tensordot(lag, coeffs, axes=(1, i)), 0, i) % q
-    terms = dict(zip(map(tuple, np.argwhere(coeffs).tolist()), coeffs[coeffs != 0].tolist()))
-    d = min(f.degree() - 1, n * (q - 1))
-    if max(map(sum, terms), default=0) > d:
-        raise RuntimeError(f"{f} on the chart of {hyperplane.forms[0]} is not in RM({n}, {d})")
-    return Poly(gf, n, terms)

@@ -1,8 +1,9 @@
-"""Arithmetic in prime fields GF(q) for small prime q.
+"""The prime fields GF(q) for small prime q.
 
 Field elements are plain ints kept in canonical residue form 0 <= a < q.
-A ``GF`` instance is the arithmetic table for one modulus; everything is
-table-free modular arithmetic.  The bit-packed form for q = 2 is not
+A ``GF`` instance is one validated modulus and its residues; the
+arithmetic is done mod q where it is used, on ints or whole arrays
+(inverses as ``pow(a, -1, q)``).  The bit-packed form for q = 2 is not
 here: ``codes.pack_bits`` packs 0/1 rows into 64-bit words, and both
 Gauss-Jordan elimination in ``codes`` and the binary counting kernel in
 ``weights`` use it.
@@ -30,7 +31,7 @@ class GF:
     Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("q", "_inv")
+    __slots__ = ("q",)
 
     def __init__(self, q: int) -> None:
         if not isinstance(q, int):
@@ -40,10 +41,6 @@ class GF:
         if q not in SUPPORTED_PRIMES:
             raise DomainError(f"q={q} unsupported; expected one of {SUPPORTED_PRIMES}")
         object.__setattr__(self, "q", q)
-        # q <= 13, so a full inverse table is 12 entries at most
-        object.__setattr__(
-            self, "_inv", tuple(pow(a, q - 2, q) for a in range(1, q))
-        )
 
     def __setattr__(self, name, value):
         raise AttributeError("GF instances are immutable")
@@ -56,15 +53,6 @@ class GF:
 
     def __hash__(self) -> int:
         return hash(("GF", self.q))
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise DomainError(f"0 has no inverse in GF({self.q})")
-        return self._inv[a - 1]
 
     def elements(self) -> range:
         """All residues 0 .. q-1."""

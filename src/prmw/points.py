@@ -18,6 +18,9 @@ from .errors import BudgetExceeded, DomainError
 from .gfp import GF
 
 POINT_ENUM_CAP = 1 << 24
+# entries of one array spanning every point: a code's monomials x points
+# evaluation matrix, or the subspaces x forms x points incidence product
+ENTRY_CAP = 1 << 26
 
 # bump whenever the enumeration order contract changes
 POINT_ORDER_VERSION = "lex-std-v1"
@@ -61,15 +64,3 @@ def projective_points(n: int, gf: GF) -> list[Point]:
         for tail in product(gf.elements(), repeat=n - i):
             pts.append(zeros + (1,) + tail)
     return pts
-
-
-def standardize(vec: Point, gf: GF) -> Point:
-    """Scale a nonzero vector so its first nonzero coordinate is 1."""
-    for c in vec:
-        if c:
-            if c == 1:
-                return tuple(vec)
-            s = gf.inv(c)
-            return tuple(gf.mul(s, x) for x in vec)
-    raise DomainError("zero vector has no projective representative")
-

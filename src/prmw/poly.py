@@ -116,38 +116,6 @@ class Poly:
             total += v
         return total % q
 
-    # -- homogenization and the affine-to-projective lift -------------------
-
-    def homogenize(self) -> "Poly":
-        """Homogenize with respect to a new first variable X0.
-
-        The result has nvars+1 variables, is homogeneous of degree
-        deg(self), and recovers self when the new variable is set to 1.
-        """
-        if not self.terms:
-            raise DomainError("cannot homogenize the zero polynomial")
-        d = self.degree()
-        terms = {(d - sum(e),) + e: c for e, c in self.terms.items()}
-        return Poly(self.gf, self.nvars + 1, terms)
-
-
-def lift_affine(g: Poly, target_degree: int) -> Poly:
-    """Lift an affine polynomial to a homogeneous one of the given degree.
-
-    Returns X0^(target_degree - deg g) * homogenize(g): degree exactly
-    ``target_degree``, agreeing with g on the chart X0 = 1 and vanishing
-    where X0 = 0.  Requires deg(g) <= target_degree - 1.
-    """
-    if g.is_zero():
-        raise DomainError("cannot lift the zero polynomial")
-    d = g.degree()
-    if d >= target_degree:
-        raise DomainError(
-            f"deg(g)={d} must be < target degree {target_degree}"
-        )
-    terms = {(target_degree - sum(e),) + e: c for e, c in g.terms.items()}
-    return Poly(g.gf, g.nvars + 1, terms)
-
 
 # -- textual syntax ---------------------------------------------------------
 

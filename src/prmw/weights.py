@@ -175,8 +175,7 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
     # dimension k - 2 unless those columns of its generator are dependent
     short = nullspace(gen[:, :2].T, code.gf)
     shortened = short.shape[0] == gen.shape[0] - 2
-    counted = (short @ gen) % q if shortened else gen
-    k = counted.shape[0]
+    k = short.shape[0] if shortened else gen.shape[0]
     # the messages the count stands for: the zero word and one per scalar class
     scanned = 1 + (q**k - 1) // (q - 1)
     if scanned > budget:
@@ -184,6 +183,7 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
             f"{code.params.family}(n={code.params.n}, d={code.params.d}) over GF({q}) "
             f"counts {scanned} messages; needs budget {scanned}, budget is {budget}"
         )
+    counted = (short @ gen) % q if shortened else gen
     counts = [int(c) for c in _counts(counted, q)]
     transforms = []
     if shortened:

@@ -6,7 +6,6 @@ The largest instances (PRM(4,4) with 2^30 codewords, RM(5,4) with
 session-scoped report cache.
 """
 
-import random
 from itertools import product
 
 import numpy as np
@@ -19,10 +18,8 @@ from prmw import (
     codeword_support,
     find_avoiding_subspace,
     find_avoiding_subspace_at_least,
-    lift_affine,
     naive_weight_counts,
     parse_poly,
-    projective_points,
     projective_support,
     w1_prm,
     w1_rm,
@@ -253,34 +250,6 @@ def test_criterion_7_avoiding_subspace_conclusions():
     if no_subspace:
         failures.append(f"{no_subspace} codewords of weight <= 6 without avoiding subspace")
     report_line(7, "avoiding hyperplane/subspace exists on every qualifying codeword", failures)
-
-
-def test_criterion_8_lift_weight_preservation():
-    rng = random.Random(1988)
-    monomials = {
-        2: [e for e in product((0, 1), repeat=3) if sum(e) <= 1],
-        3: [e for e in product((0, 1), repeat=3) if sum(e) <= 2],
-    }
-    pts = projective_points(3, gf2)
-    apts = list(product((0, 1), repeat=3))
-    failures = []
-    for d in (2, 3):
-        monos = monomials[d]
-        checked = 0
-        while checked < 100:
-            terms = {e: rng.randint(0, 1) for e in monos}
-            g = Poly(gf2, 3, {e: c for e, c in terms.items() if c})
-            if g.is_zero():
-                continue
-            checked += 1
-            lifted = lift_affine(g, d)
-            affine_weight = sum(1 for p in apts if g.evaluate(p))
-            support = [p for p in pts if lifted.evaluate(p)]
-            if len(support) != affine_weight:
-                failures.append(f"d={d} g={g}: |lift|={len(support)} != |g|={affine_weight}")
-            if any(p[0] != 1 for p in support):
-                failures.append(f"d={d} g={g}: support leaves the chart X0=1")
-    report_line(8, "200 random affine lifts preserve weight inside the chart", failures)
 
 
 def test_criterion_9_minimal_codewords_are_hyperplane_unions():

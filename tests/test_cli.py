@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import prmw.cli
+import prmw.codes
 from prmw.cli import TABLE_COLUMNS, main
 
 
@@ -64,6 +65,21 @@ class TestTable:
         row = json.loads(out)[0]
         assert row["w1_brute"] == "" and "budget" in row["note"]
         assert "16384" in row["note"]  # required budget named
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_refusals_noted(self, capsys, monkeypatch, fmt):
+        # binary RM(5,2) (16 x 32 evaluation entries) counts 2^14 messages,
+        # past the budget; RM(5,3) (26 x 32) is past the lowered entry cap
+        monkeypatch.setattr(prmw.codes, "ENTRY_CAP", 600)
+        argv = ["table", "--family", "rm", "--q", "2", "--n", "5", "--d", "2..3", "--budget", "2048"]
+        code, out = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 2
+        budget = "counts 16384 messages; needs budget 16384, budget is 2048"
+        cap = "the evaluation matrix of rm(n=5, d=3) over GF(2) needs 832 entries, cap is 600"
+        if fmt == "json":
+            assert [row["note"] for row in json.loads(out)] == [f"rm(n=5, d=2) over GF(2) {budget}", cap]
+        else:
+            assert budget in out.splitlines()[1] and cap in out.splitlines()[2]
 
     def test_gf5_rows_at_default_budget(self, capsys):
         # q^k is 5^21 and 5^25, far above the budget; the counts are not

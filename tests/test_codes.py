@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import prmw.codes
 from prmw import (
     GF,
+    BudgetExceeded,
     CodeParams,
     DomainError,
     affine_points,
@@ -276,6 +277,30 @@ class TestConstruction:
         monkeypatch.setattr(prmw.codes, "_eliminate", drop_last)
         with pytest.raises(RuntimeError):
             build_rm(CodeParams("rm", 3, 2, 2))
+
+
+class TestEntryCap:
+    def test_refused_before_points_are_listed(self, monkeypatch):
+        # binary RM(20,5) would evaluate 21,700 monomials at 2^20 points,
+        # 22.7 GB as uint8: refused from the two counts alone
+        def unreachable(*args):
+            raise AssertionError("points listed before the entry cap was checked")
+
+        monkeypatch.setattr(prmw.codes, "affine_points", unreachable)
+        with pytest.raises(BudgetExceeded, match=f"needs {21_700 * 2**20} entries, cap is {2**26}"):
+            build(CodeParams("rm", 2, 20, 5))
+
+    @pytest.mark.parametrize(
+        "family,q,n,d,entries",
+        [("rm", 2, 4, 2, 11 * 16), ("prm", 2, 3, 3, 20 * 15), ("prm", 3, 2, 2, 6 * 13)],
+    )
+    def test_cap_bounds_monomials_times_points(self, monkeypatch, family, q, n, d, entries):
+        params = CodeParams(family, q, n, d)
+        monkeypatch.setattr(prmw.codes, "ENTRY_CAP", entries)
+        build(params)
+        monkeypatch.setattr(prmw.codes, "ENTRY_CAP", entries - 1)
+        with pytest.raises(BudgetExceeded, match=f"needs {entries} entries, cap is {entries - 1}"):
+            build(params)
 
 
 def span_size(code):

@@ -9,11 +9,9 @@ from prmw import (
     CodeParams,
     DomainError,
     Poly,
-    affine_points,
     build,
     check_subspace_bounds,
     codeword_support,
-    dehomogenize_on_chart,
     enumerate_subspaces,
     find_avoiding_subspace,
     find_avoiding_subspace_at_least,
@@ -25,7 +23,7 @@ from prmw import (
     w1_prm,
     zero_set_is_hyperplane_union,
 )
-from prmw.codes import evaluate_monomials, homogeneous_monomials, rref
+from prmw.codes import homogeneous_monomials, rref
 from prmw.geometry import BoundViolation
 
 gf2 = GF(2)
@@ -175,75 +173,6 @@ class TestHyperplaneUnion:
         vanishing = parse_poly("X1^2*X0+X0^2*X1", 3, gf2)
         with pytest.raises(DomainError):
             zero_set_is_hyperplane_union(vanishing, 2, gf2)
-
-
-class TestDehomogenize:
-    def test_product_on_chart(self):
-        f = parse_poly("X0*X1", 3, gf2)
-        h0 = subspace_from_forms([(1, 0, 0)], 2, gf2)
-        g = dehomogenize_on_chart(f, h0)
-        assert g.nvars == 2 and g.degree() <= 1
-        assert sum(1 for p in affine_points(2, gf2) if g.evaluate(p)) == 2
-
-    def test_square_becomes_constant(self):
-        f = parse_poly("X0^2", 3, gf2)
-        h0 = subspace_from_forms([(1, 0, 0)], 2, gf2)
-        g = dehomogenize_on_chart(f, h0)
-        assert g == Poly.constant(gf2, 2, 1)
-        assert sum(1 for p in affine_points(2, gf2) if g.evaluate(p)) == 4
-
-    def test_meeting_hyperplane_rejected(self):
-        f = parse_poly("X0*X3+X1*X2", 4, gf2)
-        h0 = subspace_from_forms([(1, 0, 0, 0)], 3, gf2)
-        with pytest.raises(DomainError):
-            dehomogenize_on_chart(f, h0)  # (0,1,1,0) is in the support
-
-    def test_non_hyperplane_rejected(self):
-        f = parse_poly("X0*X1", 3, gf2)
-        point = subspace_from_forms([(0, 1, 0), (0, 0, 1)], 2, gf2)
-        with pytest.raises(DomainError):
-            dehomogenize_on_chart(f, point)
-
-    def test_inhomogeneous_rejected(self):
-        f = parse_poly("X0*X1+X2", 3, gf2)
-        h = subspace_from_forms([(1, 0, 0)], 2, gf2)
-        with pytest.raises(DomainError):
-            dehomogenize_on_chart(f, h)
-
-    def test_zero_rejected(self):
-        h = subspace_from_forms([(1, 0, 0)], 2, gf3)
-        with pytest.raises(DomainError):
-            dehomogenize_on_chart(Poly.zero(gf3, 3), h)
-
-    def test_vanishing_form_reduces_to_zero(self):
-        # X0^2*X1 + X0*X1^2 vanishes on every point of P^2/GF(2), so it
-        # avoids every hyperplane and its chart values are all zero
-        f = parse_poly("X0^2*X1+X0*X1^2", 3, gf2)
-        h = subspace_from_forms([(0, 0, 1)], 2, gf2)
-        assert projective_support(f, 2, gf2) == ()
-        assert dehomogenize_on_chart(f, h) == Poly.zero(gf2, 2)
-
-    @pytest.mark.parametrize("q,n,d", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 2, 3), (5, 2, 2)])
-    def test_weight_preserved_on_every_avoidable_codeword(self, q, n, d):
-        # the chart reduction drops the degree, keeps the weight and
-        # returns a reduced polynomial; every codeword is the form
-        # sum c_i m_i over the basis monomials m_i
-        gf = GF(q)
-        code = build(CodeParams("prm", q, n, d))
-        apts = affine_points(n, gf)
-        coeffs = np.array(list(nonzero_messages(code.dimension, q)), dtype=np.int64)
-        pts = np.array(projective_points(n, gf), dtype=np.int64)
-        supports = coeffs @ evaluate_monomials(code.basis_monomials, pts, q) % q != 0
-        reduced = 0
-        for c, support, h in zip(coeffs, supports, find_avoiding_subspace(supports, n, gf, n - 1)):
-            if h is None:
-                continue
-            g = dehomogenize_on_chart(Poly(gf, n + 1, dict(zip(code.basis_monomials, c.tolist()))), h)
-            assert g.degree() <= d - 1
-            assert all(e <= q - 1 for exps in g.terms for e in exps)
-            assert sum(1 for p in apts if g.evaluate(p)) == support.sum()
-            reduced += 1
-        assert reduced > 0
 
 
 class TestQuadricPencil:

@@ -1,6 +1,6 @@
 import pytest
 
-from prmw import GF, BudgetExceeded, DomainError, affine_points, projective_points, standardize
+from prmw import GF, BudgetExceeded, DomainError, affine_points, projective_points
 from prmw.points import POINT_ORDER_VERSION, affine_size, projective_size
 
 GRID = [(n, q) for q in (2, 3, 5) for n in (1, 2, 3)]
@@ -48,12 +48,9 @@ def test_lexicographic_and_duplicate_free(n, q):
 
 @pytest.mark.parametrize("n,q", GRID)
 def test_standard_representative_unique(n, q):
-    # rescaling any listed point by any unit normalizes back to itself
-    gf = GF(q)
-    for p in projective_points(n, gf):
+    # every listed point has first nonzero coordinate 1
+    for p in projective_points(n, GF(q)):
         assert p[[i for i, c in enumerate(p) if c][0]] == 1
-        for s in range(1, q):
-            assert standardize(tuple(gf.mul(s, c) for c in p), gf) == p
 
 
 @pytest.mark.parametrize("n,q", GRID)
@@ -79,11 +76,6 @@ def test_dimension_validation():
         affine_points(0, GF(2))
     with pytest.raises(DomainError):
         projective_points(0, GF(2))
-
-
-def test_standardize_zero_vector():
-    with pytest.raises(DomainError):
-        standardize((0, 0, 0), GF(3))
 
 
 def test_order_contract_version_present():

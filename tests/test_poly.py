@@ -1,20 +1,10 @@
-from itertools import product
-
 import pytest
 
-from prmw import GF, DomainError, affine_points, lift_affine, parse_poly, projective_points
+from prmw import GF, DomainError, parse_poly
 from prmw.poly import Poly
 
 gf2 = GF(2)
 gf3 = GF(3)
-
-
-def affine_weight(g, gf):
-    return sum(1 for p in affine_points(g.nvars, gf) if g.evaluate(p))
-
-
-def proj_support(f, gf):
-    return [p for p in projective_points(f.nvars - 1, gf) if f.evaluate(p)]
 
 
 class TestEvaluate:
@@ -37,97 +27,6 @@ class TestEvaluate:
     def test_mod_q_reduction(self):
         f = parse_poly("2*X0+2*X1", 2, gf3)
         assert f.evaluate((2, 2)) == (2 * 2 + 2 * 2) % 3
-
-
-class TestHomogenize:
-    # affine variables are X0..X(n-1); homogenization prepends a new X0
-    # and shifts the old names up by one
-
-    def test_shift_and_fill(self):
-        g = parse_poly("X0*X1+X0", 2, gf2)
-        assert g.homogenize() == parse_poly("X1*X2+X0*X1", 3, gf2)
-
-    def test_degree_zero_identity(self):
-        g = Poly.constant(gf2, 2, 1)
-        h = g.homogenize()
-        assert h == Poly.constant(gf2, 3, 1)
-        assert h.is_homogeneous() and h.degree() == 0
-
-    def test_gf3_square(self):
-        g = parse_poly("X0^2+X1", 2, gf3)
-        assert g.homogenize() == parse_poly("X1^2+X0*X2", 3, gf3)
-
-    def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            Poly.zero(gf2, 2).homogenize()
-
-    @pytest.mark.parametrize("q", [2, 3])
-    def test_round_trip_on_reduced_polys(self, q):
-        # homogenize then drop the new variable's exponent (set it to 1)
-        # is the identity for representatives with all exponents < q
-        gf = GF(q)
-        monos = list(product(range(q), repeat=2))
-        for coeffs in product(range(q), repeat=len(monos)):
-            g = Poly(gf, 2, {e: c for e, c in zip(monos, coeffs) if c})
-            if g.is_zero():
-                continue
-            assert {e[1:]: c for e, c in g.homogenize().terms.items()} == g.terms
-
-
-class TestLift:
-    def test_linear(self):
-        g = parse_poly("X0", 2, gf2)
-        assert lift_affine(g, 2) == parse_poly("X0*X1", 3, gf2)
-
-    def test_with_constant_term(self):
-        g = parse_poly("X0*X1+1", 3, gf2)
-        assert lift_affine(g, 3) == parse_poly("X0*X1*X2+X0^3", 4, gf2)
-
-    def test_gf3_square(self):
-        g = parse_poly("X0^2+X1", 2, gf3)
-        assert lift_affine(g, 3) == parse_poly("X0*X1^2+X0^2*X2", 3, gf3)
-
-    def test_degree_too_large(self):
-        g = parse_poly("X0*X1", 2, gf2)
-        with pytest.raises(DomainError):
-            lift_affine(g, 2)
-        with pytest.raises(DomainError):
-            lift_affine(Poly.zero(gf2, 2), 3)
-
-    def test_weight_check_example(self):
-        # affine weight of X0*X1+1 on GF(2)^3 equals the projective
-        # weight of its degree-3 lift: both 6 (the two zeros of x*y+1
-        # are the points with x = y = 1)
-        g = parse_poly("X0*X1+1", 3, gf2)
-        lifted = lift_affine(g, 3)
-        assert affine_weight(g, gf2) == 6
-        assert len(proj_support(lifted, gf2)) == 6
-
-    @pytest.mark.parametrize(
-        "q,n,d",
-        [(2, 2, 2), (2, 3, 3), (3, 2, 3)],
-    )
-    def test_weight_preservation_exhaustive(self, q, n, d):
-        # every nonzero reduced polynomial of degree <= d-1 lifts to a
-        # homogeneous degree-d polynomial of equal weight supported in
-        # the chart X0 = 1
-        gf = GF(q)
-        monos = [
-            e
-            for e in product(range(q), repeat=n)
-            if sum(e) <= d - 1
-        ]
-        pts = projective_points(n, gf)
-        for coeffs in product(range(q), repeat=len(monos)):
-            terms = {e: c for e, c in zip(monos, coeffs) if c}
-            if not terms:
-                continue
-            g = Poly(gf, n, terms)
-            lifted = lift_affine(g, d)
-            assert lifted.is_homogeneous() and lifted.degree() == d
-            support = [p for p in pts if lifted.evaluate(p)]
-            assert all(p[0] == 1 for p in support)
-            assert len(support) == affine_weight(g, gf)
 
 
 class TestParser:

@@ -20,6 +20,7 @@ from prmw import (
     weight_report,
 )
 import prmw.weights as W
+from prmw.codes import Code
 
 
 @pytest.fixture
@@ -535,6 +536,18 @@ class TestBudget:
         # binary RM(5,2), k = 16 = N - k: its primal side shortened on two
         # points counts 2^14 messages
         code = build(CodeParams("rm", 2, 5, 2))
+        with pytest.raises(BudgetExceeded, match=f"needs budget {2**14}"):
+            weight_report(code, budget=2**10)
+
+    def test_refused_before_the_shortening_product(self):
+        # the count's dimension is read from the shortened basis, so the
+        # product that would build the counted generator is never formed
+        class NoProduct(np.ndarray):
+            def __rmatmul__(self, other):
+                raise AssertionError("shortening product formed before the budget check")
+
+        code = build(CodeParams("rm", 2, 5, 2))
+        code = Code(code.params, code.gen.view(NoProduct), code.basis_monomials)
         with pytest.raises(BudgetExceeded, match=f"needs budget {2**14}"):
             weight_report(code, budget=2**10)
 
