@@ -142,6 +142,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
+def _none_count(found: list) -> int:
+    """How many entries are None.  A Subspace is truthy, and bool() does
+    not call its dataclass __eq__, as list.count(None) would per entry."""
+    return len(found) - sum(map(bool, found))
+
+
 def _verify_instance(args: argparse.Namespace, n: int, d: int, checks: list[dict]) -> None:
     q, name = args.q, f"{args.family}({n},{d}) q={args.q}"
     t0 = time.perf_counter()
@@ -181,15 +187,21 @@ def _verify_instance(args: argparse.Namespace, n: int, d: int, checks: list[dict
     if q**rep.dimension <= EXHAUSTIVE_GEOMETRY_LIMIT:
         # every message in itertools.product order (last digit fastest)
         # but the first, the zero one
-        messages = np.indices((q,) * rep.dimension).reshape(rep.dimension, -1).T[1:]
+        messages = np.indices((q,) * rep.dimension, dtype=np.uint8).reshape(rep.dimension, -1).T[1:]
         scope = f"all {len(messages)} nonzero codewords"
+        # the q - 1 scalar multiples of a codeword share its support, so
+        # the messages whose first nonzero digit is 1 stand for them all
+        leading = messages[np.arange(len(messages)), (messages != 0).argmax(axis=1)]
+        messages = messages[leading == 1]
+        multiples = q - 1
     else:
         messages = [w.message for w in rep.witnesses]
         scope = f"{len(messages)} witness codewords"
+        multiples = 1
     supports = codeword_support(code, messages)
 
     try:
-        violations = len(check_subspace_bounds(supports, code.params))
+        violations = multiples * len(check_subspace_bounds(supports, code.params))
         status = "pass" if violations == 0 else "fail"
         record("intersection_bounds", status, f"{scope}, dims 1..{n - 1}, {violations} violations")
     except BudgetExceeded as exc:
@@ -200,14 +212,14 @@ def _verify_instance(args: argparse.Namespace, n: int, d: int, checks: list[dict
         # |S| < bound iff |S| < ceil(bound): no Fraction compare per support
         sizes = supports.sum(axis=1)
         small = supports[sizes < ceil(hyperplane_bound)]
-        missing1 = sum(h is None for h in find_avoiding_subspace(small, n, gf, n - 1))
+        missing1 = multiples * _none_count(find_avoiding_subspace(small, n, gf, n - 1))
         record(
             "avoiding_hyperplane",
             "pass" if missing1 == 0 else "fail",
             f"{scope}, |S| < {float(hyperplane_bound):g}, {missing1} without avoiding hyperplane",
         )
         small = supports[sizes <= subspace_bound]
-        missing2 = sum(h is None for h in find_avoiding_subspace_at_least(small, n, gf, k))
+        missing2 = multiples * _none_count(find_avoiding_subspace_at_least(small, n, gf, k))
         record(
             "avoiding_subspace",
             "pass" if missing2 == 0 else "fail",

@@ -1,10 +1,12 @@
 """Generator matrices for RM(n,d) and PRM(n,d) over GF(q).
 
 A code is built by evaluating a deterministic monomial list at the
-canonical point enumeration and row-reducing.  The whole evaluation
-matrix (monomials x points) is one uint8 array, refused from its size
-past ``ENTRY_CAP`` entries and otherwise gathered from a power table
-one variable at a time; ``_eliminate`` then visits its rows in
+canonical point enumeration and row-reducing.  Every generator matrix is
+uint8 residues from evaluation to serialization.  The whole evaluation
+matrix (monomials x points) is refused from its size past
+``ENTRY_CAP`` entries and otherwise computed in the log domain: one
+exact float32 product of the exponents with the points' discrete logs,
+then one antilog lookup.  ``_eliminate`` then visits its rows in
 monomial order, keeps each row still nonzero when visited, and clears
 that row's pivot column from every other row in one whole-matrix update.
 The rows are stored per field size, as 64-bit words updated by XOR for
@@ -18,8 +20,8 @@ wrappers around the same ``_eliminate``, on int64 arrays with mod-q
 arithmetic.
 
 Serialization: ``code_to_json`` renders the generator rows in one array
-pass over a byte table of the residues, with the bytes ``json.dumps``
-would give; ``code_to_bitdump`` packs GF(2) rows into 64-bit words and
+pass over the residues' digits, with the bytes ``json.dumps`` would
+give; ``code_to_bitdump`` packs GF(2) rows into 64-bit words and
 ``bitdump_to_rows`` unpacks them.
 """
 
@@ -32,13 +34,13 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError
-from .gfp import GF
+from .gfp import F32_BLOCK, GF, reduce_mod, require_f32_exact
 from .points import (
     ENTRY_CAP,
     POINT_ORDER_VERSION,
-    affine_points,
+    affine_array,
     affine_size,
-    projective_points,
+    projective_array,
     projective_size,
 )
 from .poly import Expvec
@@ -88,13 +90,15 @@ def _eliminate(mat: np.ndarray, q: int) -> tuple[np.ndarray, list[int], list[int
     span of the rows kept before it and is dropped.
 
     Returns the kept rows sorted by pivot column (the unique RREF of the
-    row space, int64), their pivot columns in ascending order, and the
+    row space, uint8), their pivot columns in ascending order, and the
     indices of the kept rows in visiting order (the greedy subset).
 
     The rows are stored per field size: for q = 2 as little-endian 64-bit
     words (``pack_bits``) updated by XOR, for q > 2 as uint8 updated by
-    ``(rows + (q - f) * pivot_row) % q``, whose values before the
-    reduction reach (q - 1) + (q - 1)^2 = q(q - 1).
+    ``(rows + (q - f) * pivot_row) mod q``, whose values before the
+    reduction reach (q - 1) + (q - 1)^2 = q(q - 1), and reduced by
+    ``reduce_mod``.  The update XORs (or adds) the pivot row into itself
+    too, and then writes it back.
     """
     if q * (q - 1) > 255:
         raise DomainError(f"q={q}: row updates would overflow uint8")
@@ -103,24 +107,28 @@ def _eliminate(mat: np.ndarray, q: int) -> tuple[np.ndarray, list[int], list[int
     kept: list[int] = []
     pivots: list[int] = []
     for i in range(rows.shape[0]):
-        nz = np.flatnonzero(rows[i])
+        row = rows[i]
+        # ndarray.nonzero, not np.flatnonzero: the wrapper's ravel and
+        # dispatch cost more than scanning one row
+        nz = row.nonzero()[0]
         if nz.size == 0:
             continue
+        # the pivot row is zero left of its pivot, so only the columns
+        # from the pivot (its word, for q = 2) on change
         if binary:
             w = int(nz[0])
-            word = int(rows[i, w])
-            bit = (word & -word).bit_length() - 1
-            c = 64 * w + bit
-            hits = np.flatnonzero(rows[:, w] >> bit & 1)
+            word = int(row[w])
+            low = word & -word
+            c = 64 * w + low.bit_length() - 1
+            pivot = row[w:].copy()
+            rows[(rows[:, w] & low).nonzero()[0], w:] ^= pivot
+            rows[i, w:] = pivot
         else:
             c = int(nz[0])
-            rows[i] = rows[i] * pow(int(rows[i, c]), -1, q) % q
-            hits = np.flatnonzero(rows[:, c])
-        hits = hits[hits != i]
-        if binary:
-            rows[hits] ^= rows[i]
-        else:
-            rows[hits] = (rows[hits] + (q - rows[hits, c])[:, None] * rows[i]) % q
+            pivot = reduce_mod(row[c:] * pow(int(row[c]), -1, q), q)
+            hits = rows[:, c].nonzero()[0]
+            rows[hits, c:] = reduce_mod(rows[hits, c:] + (q - rows[hits, c])[:, None] * pivot, q)
+            rows[i, c:] = pivot
         kept.append(i)
         pivots.append(c)
     reduced = rows[[i for _, i in sorted(zip(pivots, kept))]]
@@ -128,7 +136,7 @@ def _eliminate(mat: np.ndarray, q: int) -> tuple[np.ndarray, list[int], list[int
         reduced = np.unpackbits(
             reduced.view(np.uint8), axis=1, count=mat.shape[1], bitorder="little"
         )
-    return reduced.astype(np.int64), sorted(pivots), kept
+    return reduced, sorted(pivots), kept
 
 
 def rref(mat: np.ndarray, gf: GF) -> tuple[np.ndarray, int, list[int]]:
@@ -167,10 +175,15 @@ def rm_monomials(n: int, d: int, q: int) -> list[Expvec]:
     """Exponent vectors with every exponent <= q-1 and total degree <= d,
     in graded lexicographic order (reduced basis modulo the affine
     vanishing ideal)."""
-    out: list[Expvec] = []
-    for deg in range(d + 1):
-        out.extend(sorted(_bounded_compositions(deg, n, q - 1)))
-    return out
+    # by_degree[t]: the vectors over the last j variables of degree t,
+    # ascending lexicographic, grown one leading variable at a time
+    by_degree: list[list[Expvec]] = [[()]] + [[] for _ in range(d)]
+    for _ in range(n):
+        by_degree = [
+            [(e,) + rest for e in range(min(t, q - 1) + 1) for rest in by_degree[t - e]]
+            for t in range(d + 1)
+        ]
+    return [e for vectors in by_degree for e in vectors]
 
 
 def homogeneous_monomials(nvars: int, d: int) -> list[Expvec]:
@@ -182,16 +195,6 @@ def homogeneous_monomials(nvars: int, d: int) -> list[Expvec]:
             e[i] += 1
         out.append(tuple(e))
     return sorted(out)
-
-
-def _bounded_compositions(total: int, parts: int, bound: int) -> list[Expvec]:
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for first in range(min(total, bound), -1, -1):
-        for rest in _bounded_compositions(total - first, parts - 1, bound):
-            out.append((first,) + rest)
-    return out
 
 
 # -- code construction --------------------------------------------------------
@@ -233,20 +236,39 @@ class Code:
 
 
 def evaluate_monomials(exps: list[Expvec], pts: np.ndarray, q: int) -> np.ndarray:
-    """Row i is the monomial ``exps[i]`` evaluated at every point, mod q.
+    """Row i is the monomial ``exps[i]`` evaluated at every point, mod q,
+    as uint8.
 
-    Exponents e >= 1 become (e - 1) mod (q - 1) + 1, equal as powers on
-    GF(q), so one power table ``x^e mod q`` of q rows serves any degree.
-    Per variable, its columns at the points' coordinates give one slice,
-    whose rows are gathered by exponent into the monomials that use the
-    variable; residues <= 12 keep every product inside uint8."""
-    e = np.array([[k and (k - 1) % (q - 1) + 1 for k in m] for m in exps], dtype=np.int64)
-    e = e.reshape(len(exps), pts.shape[1])
-    powtab = np.array([[pow(x, k, q) for x in range(q)] for k in range(q)], dtype=np.uint8)
-    out = np.ones((e.shape[0], pts.shape[0]), dtype=np.uint8)
-    for i in range(pts.shape[1]):
-        rows = np.flatnonzero(e[:, i])
-        out[rows] = out[rows] * powtab[:, pts[:, i]][e[rows, i]] % q
+    In the log domain: with g a primitive root, x^e = g^(e log x) for
+    x != 0.  Exponents e >= 1 become (e - 1) mod (q - 1) + 1, equal as
+    powers on GF(q), so e <= q - 1.  A zero coordinate gets the log
+    ``zero``, larger than any sum e . log(x) over nonzero coordinates, so
+    one exact float32 product of the exponents with the points' logs gives
+    each entry's power of g, or a sum >= ``zero`` where a variable of the
+    monomial vanishes; one antilog table maps that sum to the value.  The
+    product runs ``F32_BLOCK`` entries at a time."""
+    nvars = pts.shape[1]
+    e = np.array([[k and (k - 1) % (q - 1) + 1 for k in m] for m in exps], dtype=np.float32)
+    e = e.reshape(len(exps), nvars)
+    g = next(g for g in range(1, q) if len({pow(g, k, q) for k in range(q - 1)}) == q - 1)
+    powers = [pow(g, k, q) for k in range(q - 1)]
+    zero = nvars * (q - 1) * (q - 2) + 1
+    require_f32_exact(nvars * (q - 1) * zero, "monomial evaluation")
+    log = np.empty(q, dtype=np.float32)
+    log[0] = zero
+    log[powers] = range(q - 1)
+    logs = log[pts].T.copy()
+    antilog = np.zeros(nvars * (q - 1) * zero + 1, dtype=np.uint8)
+    antilog[:zero] = np.resize(powers, zero)
+    out = np.empty((len(exps), len(pts)), dtype=np.uint8)
+    step = max(1, F32_BLOCK // max(1, len(pts)))
+    for i in range(0, len(exps), step):
+        sums = e[i : i + step] @ logs
+        if q == 2:
+            # antilog is 1 at 0 and 0 past it; a compare skips the gather
+            np.equal(sums, 0, out=out[i : i + step].view(bool))
+        else:
+            np.take(antilog, sums.astype(np.intp), out=out[i : i + step])
     return out
 
 
@@ -261,10 +283,10 @@ def _build(params: CodeParams, monomials: list[Expvec]) -> Code:
             f"the evaluation matrix of {params.family}(n={n}, d={params.d}) over GF({q}) "
             f"needs {entries} entries, cap is {ENTRY_CAP}"
         )
-    points = (affine_points if rm else projective_points)(n, GF(q))
+    points = (affine_array if rm else projective_array)(n, q)
     # greedy: keep the monomials whose rows grow the rank, so
     # basis_monomials is an actual monomial subset
-    evaluated = evaluate_monomials(monomials, np.array(points, dtype=np.int64), q)
+    evaluated = evaluate_monomials(monomials, points, q)
     gen, _, kept = _eliminate(evaluated, q)
     return Code(params, gen, tuple(monomials[i] for i in kept))
 
@@ -306,13 +328,14 @@ def code_to_json(code: Code) -> str:
 
     The bytes are those of ``json.dumps(doc, sort_keys=True,
     separators=(",", ":"))``.  ``rows`` sorts last, so it is rendered
-    apart and spliced in before the closing brace: every cell becomes
-    the 2 bytes ``b"%d,"`` of its residue (one uint8 table lookup over
-    the whole matrix, written in place), each row opens with the 2 bytes
-    ``b",["`` (``b"[["`` for the first), its last comma becomes ``]``
-    and one ``]`` closes the matrix.  Where residues have two digits
-    (q > 10) the cells are the 3 bytes ``b"%2d,"``, the row openings
-    ``b" ,["`` and ``b" [["``, and the pad spaces are removed at the end.
+    after the other fields in one byte buffer, decoded once: every cell
+    becomes the 2 bytes ``b"%d,"`` of its residue (one addition over the
+    whole matrix writes them as 2-byte words), each row opens with the
+    2 bytes ``b",["`` (``b"[["`` for the first), its last comma becomes
+    ``]``, and ``]}`` closes the matrix and the object.  Where residues
+    have two digits (q > 10) the cells are the 3 bytes ``b"%2d,"``, the
+    row openings ``b" ,["`` and ``b" [["``, and the pad spaces are removed
+    at the end.
     """
     p = code.params
     doc = {
@@ -326,27 +349,37 @@ def code_to_json(code: Code) -> str:
         "basis_monomials": [list(e) for e in code.basis_monomials],
     }
     head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return head[:-1] + ',"rows":' + _rows_json(code.gen, p.q) + "}"
+    gen = code.gen.astype(np.uint8, copy=False)  # a Code may be given other integer rows
+    return _with_rows_json(head[:-1] + ',"rows":', gen, p.q)
 
 
-def _rows_json(gen: np.ndarray, q: int) -> str:
-    """``json.dumps(gen.tolist(), separators=(",", ":"))`` for a matrix
-    with at least one row and one column and two-digit residues at most."""
+def _with_rows_json(head: str, gen: np.ndarray, q: int) -> str:
+    """``head + json.dumps(gen.tolist(), separators=(",", ":")) + "}"``
+    for an ASCII ``head`` and a uint8 matrix with at least one row and one
+    column and residues below 13."""
     width = 2 if q <= 10 else 3
-    cells = np.frombuffer(b"".join(b"%*d," % (width - 1, v) for v in range(q)), dtype=np.uint8)
-    cells = cells.reshape(q, width)
     rows, length = gen.shape
-    buf = np.empty(rows * (length + 1) * width + 1, dtype=np.uint8)
-    text = buf[:-1].reshape(rows, length + 1, width)
+    start = len(head)
+    buf = np.empty(start + rows * (length + 1) * width + 2, dtype=np.uint8)
+    buf[:start] = np.frombuffer(head.encode("ascii"), dtype=np.uint8)
+    text = buf[start:-2].reshape(rows, length + 1, width)
     text[:, 0] = np.frombuffer(b",[".rjust(width), dtype=np.uint8)
     text[0, 0, -2] = ord("[")
-    # gen holds residues < q, so "clip" never clips; it spares take()
-    # the buffered copy that mode="raise" makes of ``out``
-    np.take(cells, gen, axis=0, out=text[:, 1:], mode="clip")
+    cells = text[:, 1:]
+    if width == 2:
+        # a cell is one little-endian 2-byte word: the digit, then the comma
+        np.add(gen, ord("0") | ord(",") << 8, out=cells.view("<u2")[..., 0], dtype="<u2")
+    else:
+        # the tens digit is 1 or, padded, a space
+        tens = gen // 10
+        np.multiply(tens, ord("1") - ord(" "), out=cells[..., 0])
+        cells[..., 0] += ord(" ")
+        np.add(gen - 10 * tens, ord("0"), out=cells[..., 1])
+        cells[..., 2] = ord(",")
     text[:, -1, -1] = ord("]")
-    buf[-1] = ord("]")
+    buf[-2:] = np.frombuffer(b"]}", dtype=np.uint8)
     if width == 3:
-        return buf.tobytes().replace(b" ", b"").decode("ascii")
+        return head + buf[start:].tobytes().replace(b" ", b"").decode("ascii")
     return str(buf.data, "ascii")
 
 

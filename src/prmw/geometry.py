@@ -7,16 +7,18 @@ lexicographic order, then free entries in ascending mixed-radix order).
 Each (n, q, s) caches two read-only arrays, the subspaces' defining
 forms and one boolean incidence matrix, subspaces x points, computed
 from the forms in one product; it is the only point-set representation.
-``Subspace`` objects are built only for the subspaces a result returns.
+``Subspace`` objects are built only for the subspaces a result returns,
+one per distinct subspace.
 
 The support predicates take a batch of supports (a boolean supports x
 points matrix, or an iterable of point index sequences; one support is
-a one-element batch) and read every meet size from one supports x
-points @ points x subspaces product per dimension: intersection lower
-bounds for codeword supports, and the first subspace avoiding each
-support.  Whether a zero set is a union of hyperplanes reads the same
-incidences.  A form is evaluated at all points at once by the codes'
-monomial evaluator.
+a one-element batch) and read every meet size from supports x points @
+points x subspaces float32 products per dimension, one block of
+supports at a time: intersection lower bounds for codeword supports,
+and the first subspace avoiding each support, kept as index arrays
+until the result is returned.  Whether a zero set is a union of
+hyperplanes reads the same incidences.  A form is evaluated at all
+points at once by the codes' monomial evaluator.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import numpy as np
 from .codes import CodeParams, evaluate_monomials, nullspace, rref
 from .errors import BudgetExceeded, DomainError
 from .formulas import w1_prm
-from .gfp import GF
-from .points import ENTRY_CAP, projective_points, projective_size
+from .gfp import F32_BLOCK, GF, require_f32_exact
+from .points import ENTRY_CAP, projective_array, projective_size
 from .poly import Poly
 
 SUBSPACE_ENUM_CAP = 10**6
@@ -64,13 +66,23 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def _proj_points(n: int, q: int) -> np.ndarray:
-    return np.array(projective_points(n, GF(q)), dtype=np.int64)
+    pts = projective_array(n, q)
+    pts.flags.writeable = False  # cached: every caller shares it
+    return pts
 
 
 def _incidence(forms: np.ndarray, n: int, q: int) -> np.ndarray:
     """Which points lie on the subspaces: all forms vanish there.  forms
-    is (..., forms, n+1); the result is (..., points), boolean."""
-    return ((forms @ _proj_points(n, q).T) % q == 0).all(axis=-2)
+    is (..., forms, n+1); the result is (..., points), boolean.  The form
+    values are one float32 product, exact since each is at most
+    (n+1)(q-1)^2, and a value vanishes mod q where it equals its
+    ``// q * q``."""
+    bound = (n + 1) * (q - 1) ** 2
+    require_f32_exact(bound, "form values")
+    pts = _proj_points(n, q).T.astype(np.float32)
+    values = forms.reshape(-1, n + 1).astype(np.float32) @ pts
+    values = values.astype(np.min_scalar_type(bound)).reshape(*forms.shape[:-1], -1)
+    return (values == values // q * q).all(axis=-2)
 
 
 def _subspace(forms: np.ndarray, incidence: np.ndarray) -> Subspace:
@@ -181,44 +193,65 @@ def _support_rows(supports, n: int, q: int) -> np.ndarray:
     return rows
 
 
-def _meets(rows: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """meets[i, j] = |support i & subspace j|."""
-    return rows @ inc.T.astype(np.float32)
+def _meet_blocks(rows: np.ndarray, inc: np.ndarray):
+    """Blocks ``(start, meets)`` of the supports x subspaces meet sizes,
+    meets[i, j] = |support start+i & subspace j|, ``F32_BLOCK`` entries
+    at a time."""
+    inc_t = inc.T.astype(np.float32)
+    step = max(1, F32_BLOCK // max(1, len(inc)))
+    for start in range(0, len(rows), step):
+        yield start, rows[start : start + step] @ inc_t
 
 
-def _first_avoiders(rows: np.ndarray, n: int, q: int, r: int) -> list[Subspace | None]:
+def _first_avoiders(rows: np.ndarray, n: int, q: int, r: int) -> np.ndarray:
+    """For each support, the index of the first dimension-r subspace
+    (enumeration order) it misses, or -1 if it meets every one."""
     if not 0 <= r <= n - 1:
         raise DomainError(f"subspace dimension r={r} outside [0, {n - 1}]")
     if not rows.any(axis=1).all():
         raise DomainError("support is empty")
+    _, inc = _subspaces(n, q, r)
+    first = np.empty(len(rows), dtype=np.intp)
+    for start, meets in _meet_blocks(rows, inc):
+        # the first smallest meet; a miss where that meet is 0
+        j = meets.argmin(axis=1)
+        missed = np.take_along_axis(meets, j[:, None], axis=1)[:, 0] == 0
+        first[start : start + len(j)] = np.where(missed, j, -1)
+    return first
+
+
+def _subspace_objects(first: np.ndarray, n: int, q: int, r: int) -> np.ndarray:
+    """``first`` (subspace indices, -1 for none) as an object array of
+    dimension-r ``Subspace`` objects and None, one object per distinct
+    index."""
     forms, inc = _subspaces(n, q, r)
-    avoids = _meets(rows, inc) == 0
-    first = np.where(avoids.any(axis=1), avoids.argmax(axis=1), -1).tolist()
-    # one object per distinct avoider; -1 (none) maps to None
-    subs = {j: _subspace(forms[j], inc[j]) for j in set(first) if j >= 0}
-    return [subs.get(j) for j in first]
+    objects = np.full(len(inc) + 1, None, dtype=object)
+    for j in np.flatnonzero(np.bincount(first + 1, minlength=len(inc) + 1)[1:]).tolist():
+        objects[j + 1] = _subspace(forms[j], inc[j])
+    return objects[first + 1]
 
 
 def find_avoiding_subspace(supports, n: int, gf: GF, r: int) -> list[Subspace | None]:
     """For each support of the batch, the first dimension-r subspace
     (enumeration order) disjoint from it, or None if every one meets it."""
-    return _first_avoiders(_support_rows(supports, n, gf.q), n, gf.q, r)
+    first = _first_avoiders(_support_rows(supports, n, gf.q), n, gf.q, r)
+    return _subspace_objects(first, n, gf.q, r).tolist()
 
 
 def find_avoiding_subspace_at_least(supports, n: int, gf: GF, rmin: int) -> list[Subspace | None]:
     """For each support of the batch, the first avoiding subspace of the
     highest dimension >= rmin that has one, or None."""
     rows = _support_rows(supports, n, gf.q)
-    found: list[Subspace | None] = [None] * len(rows)
+    found = np.full(len(rows), None, dtype=object)
     pending = np.arange(len(rows))
     for r in range(n - 1, rmin - 1, -1):
         if not pending.size:
             break
-        hits = _first_avoiders(rows[pending], n, gf.q, r)
-        for i, sub in zip(pending.tolist(), hits):
-            found[i] = sub
-        pending = pending[[sub is None for sub in hits]]
-    return found
+        first = _first_avoiders(rows[pending], n, gf.q, r)
+        hit = first >= 0
+        found[pending[hit]] = _subspace_objects(first[hit], n, gf.q, r)
+        pending = pending[~hit]
+    return found.tolist()
 
 
 @dataclass(frozen=True)
@@ -236,7 +269,8 @@ def check_subspace_bounds(supports, params: CodeParams, dims=None) -> list[Bound
     minimum weight of the projective code of that dimension.  Returns
     the violations of the whole batch (expected empty for true codeword
     supports), ordered by ``row``, the support's place in the batch,
-    then by dimension and enumeration order."""
+    then by dimension and enumeration order.  A dimension whose bound is
+    at most 1 cannot be violated and takes no product."""
     n, q, d = params.n, params.q, params.d
     if d < 2:
         raise DomainError(f"subspace bounds need d >= 2, got d={d}")
@@ -249,16 +283,16 @@ def check_subspace_bounds(supports, params: CodeParams, dims=None) -> list[Bound
     for s in dims:
         required = w1_prm(s, d, q)
         forms, inc = _subspaces(n, q, s)
-        meets = _meets(rows, inc)
-        flat = np.flatnonzero((meets > 0) & (meets < required))
-        sizes = meets.ravel()[flat].astype(np.int64).tolist()
-        # one meet matrix at a time: it is supports x subspaces
-        del meets
-        hit, sub = divmod(flat, len(inc))
-        violations += [
-            BoundViolation(i, s, _subspace(forms[j], inc[j]), m, required)
-            for i, j, m in zip(hit.tolist(), sub.tolist(), sizes)
-        ]
+        if required <= 1:
+            continue  # meets are integers: none lies strictly between 0 and 1
+        for start, meets in _meet_blocks(rows, inc):
+            flat = np.flatnonzero((meets > 0) & (meets < required))
+            sizes = meets.ravel()[flat].astype(np.int64).tolist()
+            hit, sub = divmod(flat, len(inc))
+            violations += [
+                BoundViolation(start + i, s, _subspace(forms[j], inc[j]), m, required)
+                for i, j, m in zip(hit.tolist(), sub.tolist(), sizes)
+            ]
     violations.sort(key=lambda v: v.row)
     return violations
 

@@ -3,7 +3,9 @@
 Field elements are plain ints kept in canonical residue form 0 <= a < q.
 A ``GF`` instance is one validated modulus and its residues; the
 arithmetic is done mod q where it is used, on ints or whole arrays
-(inverses as ``pow(a, -1, q)``).  The bit-packed form for q = 2 is not
+(inverses as ``pow(a, -1, q)``, array residues by ``reduce_mod``).
+Products of residue matrices run as float32 BLAS products where every
+sum stays below ``F32_EXACT``.  The bit-packed form for q = 2 is not
 here: ``codes.pack_bits`` packs 0/1 rows into 64-bit words, and both
 Gauss-Jordan elimination in ``codes`` and the binary counting kernel in
 ``weights`` use it.
@@ -14,6 +16,30 @@ from __future__ import annotations
 from .errors import DomainError
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# float32 holds every integer up to 2^24 exactly: a float32 product of
+# integer matrices is exact while every sum stays below this
+F32_EXACT = 1 << 24
+# entries of one block of a large float32 product, 256 KB: computed a
+# block of rows at a time, a product and the passes that read it stay in
+# a core's L2 cache, and no whole product is held at once
+F32_BLOCK = 1 << 16
+
+
+def reduce_mod(a, q: int):
+    """``a mod q`` for an integer array, as a new array.
+
+    Written ``a - a // q * q``: numpy divides an integer array by a scalar
+    with a multiply and a shift, while its ``%`` divides entry by entry
+    (about 15x slower on uint8 rows).  Floor division keeps the result in
+    [0, q) for negative entries too."""
+    return a - a // q * q
+
+
+def require_f32_exact(bound: int, what: str) -> None:
+    """Refuse a float32 product whose sums may reach ``F32_EXACT``."""
+    if bound >= F32_EXACT:
+        raise RuntimeError(f"{what}: sums up to {bound} are not exact in float32")
 
 
 def is_prime(n: int) -> bool:

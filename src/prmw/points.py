@@ -12,7 +12,7 @@ ascending lexicographic order on the raw coordinate vector.
 
 from __future__ import annotations
 
-from itertools import product
+import numpy as np
 
 from .errors import BudgetExceeded, DomainError
 from .gfp import GF
@@ -36,18 +36,25 @@ def projective_size(n: int, q: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
 
 
-def affine_points(n: int, gf: GF) -> list[Point]:
-    """All q^n points of affine n-space, ascending lexicographic."""
+def _lex(q: int, m: int) -> np.ndarray:
+    """All of GF(q)^m, one uint8 row per vector, ascending lexicographic."""
+    return np.indices((q,) * m, dtype=np.uint8).reshape(m, q**m).T
+
+
+def affine_array(n: int, q: int) -> np.ndarray:
+    """The q^n points of affine n-space as uint8 rows, ascending
+    lexicographic."""
     if n < 1:
         raise DomainError(f"affine dimension n={n} must be >= 1")
-    size = affine_size(n, gf.q)
+    size = affine_size(n, q)
     if size > POINT_ENUM_CAP:
         raise BudgetExceeded(f"affine enumeration needs {size} points, cap is {POINT_ENUM_CAP}")
-    return list(product(gf.elements(), repeat=n))
+    return np.ascontiguousarray(_lex(q, n))
 
 
-def projective_points(n: int, gf: GF) -> list[Point]:
-    """All N = (q^(n+1)-1)/(q-1) standard representatives of P^n(GF(q)).
+def projective_array(n: int, q: int) -> np.ndarray:
+    """The N = (q^(n+1)-1)/(q-1) standard representatives of P^n(GF(q))
+    as uint8 rows.
 
     Points with first nonzero coordinate at index i are exactly
     (0,)*i + (1,) + tail; descending i gives ascending lexicographic
@@ -55,12 +62,25 @@ def projective_points(n: int, gf: GF) -> list[Point]:
     """
     if n < 1:
         raise DomainError(f"projective dimension n={n} must be >= 1")
-    size = projective_size(n, gf.q)
+    size = projective_size(n, q)
     if size > POINT_ENUM_CAP:
         raise BudgetExceeded(f"projective enumeration needs {size} points, cap is {POINT_ENUM_CAP}")
-    pts: list[Point] = []
+    pts = np.zeros((size, n + 1), dtype=np.uint8)
+    start = 0
     for i in range(n, -1, -1):
-        zeros = (0,) * i
-        for tail in product(gf.elements(), repeat=n - i):
-            pts.append(zeros + (1,) + tail)
+        stop = start + q ** (n - i)
+        pts[start:stop, i] = 1
+        pts[start:stop, i + 1 :] = _lex(q, n - i)
+        start = stop
     return pts
+
+
+def affine_points(n: int, gf: GF) -> list[Point]:
+    """All q^n points of affine n-space, ascending lexicographic."""
+    return list(map(tuple, affine_array(n, gf.q).tolist()))
+
+
+def projective_points(n: int, gf: GF) -> list[Point]:
+    """All N = (q^(n+1)-1)/(q-1) standard representatives of P^n(GF(q)),
+    in the order of ``projective_array``."""
+    return list(map(tuple, projective_array(n, gf.q).tolist()))

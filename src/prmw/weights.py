@@ -91,10 +91,11 @@ block that fills every weight's K.
 
 Supports are collected a batch at a time: ``codeword_support`` takes a
 matrix of messages, one per row, and returns the boolean supports x
-points matrix of a single product with the generator, which the
-geometry predicates take as it is.  A report makes one such call for
-all its witnesses, and ``verify`` one per instance, for every nonzero
-message of an exhaustive one, else for the report's witnesses.
+points matrix of a single exact float32 product with the generator,
+which the geometry predicates take as it is.  A report makes one such
+call for all its witnesses, and ``verify`` one per instance, for one
+nonzero message per scalar class of an exhaustive one (multiples share
+a support), else for the report's witnesses.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ import numpy as np
 
 from .codes import Code, nullspace, pack_bits
 from .errors import BudgetExceeded, DomainError
+from .gfp import reduce_mod, require_f32_exact
 
 DEFAULT_BUDGET = 1 << 32
 WITNESS_CAP = 3
@@ -144,15 +146,27 @@ def codeword_support(code: Code, messages) -> np.ndarray:
 
     ``messages`` is a batch, one message per row (a single message is a
     1-element batch); row i of the ``(batch, N)`` result is True at the
-    points (canonical order) where codeword i is nonzero.  The whole
-    batch is one ``(msgs @ gen) % q`` product.
+    points (canonical order) where codeword i is nonzero.  The messages
+    are reduced mod q, and the whole batch is one float32 product with
+    the generator, exact because every sum is at most k(q-1)^2 < 2^24:
+    ``ENTRY_CAP`` bounds k*N <= 2^26 with k <= N, so k <= 2^13, and
+    (q-1)^2 <= 144 < 2^11.  The sums are cast to the smallest unsigned
+    type holding them; one is nonzero mod q where it differs from
+    ``sum // q * q``.
     """
-    msgs = np.asarray(messages, dtype=np.int64)
+    msgs = np.asarray(messages)
+    if msgs.dtype.kind not in "iu":
+        msgs = np.asarray(messages, dtype=np.int64)
     if msgs.ndim != 2 or msgs.shape[1] != code.dimension:
         raise DomainError(
             f"messages of shape {msgs.shape} are not rows of length {code.dimension}"
         )
-    return (msgs @ code.gen) % code.params.q != 0
+    q = code.params.q
+    bound = code.dimension * (q - 1) ** 2
+    require_f32_exact(bound, "codeword support")
+    sums = reduce_mod(msgs, q).astype(np.float32) @ code.gen.astype(np.float32)
+    sums = sums.astype(np.min_scalar_type(bound))
+    return sums != sums // q * q
 
 
 def weight_report(code: Code, budget: int | None = None) -> WeightReport:
@@ -167,6 +181,11 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
     q = code.params.q
     dim = code.dimension
     length = code.length
+    # the counted side has dimension k' = min(k, N - k), and the count
+    # visits at least its words vanishing on two points: refuse before
+    # the dual's Gauss-Jordan pass where even those are past budget
+    if min(dim, length - dim) >= 2:
+        _refuse_past_budget(code, min(dim, length - dim) - 2, budget)
     if length - dim < dim:
         side, gen = "dual", nullspace(code.gen, code.gf)
     else:
@@ -175,14 +194,7 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
     # dimension k - 2 unless those columns of its generator are dependent
     short = nullspace(gen[:, :2].T, code.gf)
     shortened = short.shape[0] == gen.shape[0] - 2
-    k = short.shape[0] if shortened else gen.shape[0]
-    # the messages the count stands for: the zero word and one per scalar class
-    scanned = 1 + (q**k - 1) // (q - 1)
-    if scanned > budget:
-        raise BudgetExceeded(
-            f"{code.params.family}(n={code.params.n}, d={code.params.d}) over GF({q}) "
-            f"counts {scanned} messages; needs budget {scanned}, budget is {budget}"
-        )
+    scanned = _refuse_past_budget(code, short.shape[0] if shortened else gen.shape[0], budget)
     counted = (short @ gen) % q if shortened else gen
     counts = [int(c) for c in _counts(counted, q)]
     transforms = []
@@ -221,6 +233,19 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
         witnesses=witnesses,
         elapsed_ms=elapsed_ms,
     )
+
+
+def _refuse_past_budget(code: Code, k: int, budget: int) -> int:
+    """The messages a count of dimension k stands for, the zero word and
+    one per scalar class; BudgetExceeded if they are past ``budget``."""
+    p = code.params
+    scanned = 1 + (p.q**k - 1) // (p.q - 1)
+    if scanned > budget:
+        raise BudgetExceeded(
+            f"{p.family}(n={p.n}, d={p.d}) over GF({p.q}) "
+            f"counts {scanned} messages; needs budget {scanned}, budget is {budget}"
+        )
+    return scanned
 
 
 def _two_point(short_counts: list[int], q: int, dim: int) -> list[int]:

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ class TestEliminate:
         rows, pivots, kept = _eliminate(m, q)
         ref_kept, ref_pivots, ref_rows = greedy_oracle(m, q)
         assert kept == ref_kept and pivots == ref_pivots
-        assert rows.dtype == np.int64 and np.array_equal(rows, ref_rows)
+        assert rows.dtype == np.uint8 and np.array_equal(rows, ref_rows)
         red, rank, piv = rref(m, GF(q))
         ref_red, ref_rank, ref_piv = rref_oracle(m, q)
         assert red.dtype == np.int64 and np.array_equal(red, ref_red)
@@ -257,6 +258,26 @@ CONSTRUCTION_CASES = [
 ]
 
 
+def bounded_compositions(total, parts, bound):
+    """The recursive enumeration rm_monomials replaced: the vectors of
+    ``parts`` entries in [0, bound] summing to ``total``."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    out = []
+    for first in range(min(total, bound), -1, -1):
+        for rest in bounded_compositions(total - first, parts - 1, bound):
+            out.append((first,) + rest)
+    return out
+
+
+@pytest.mark.parametrize("q", SUPPORTED_PRIMES)
+def test_rm_monomials_graded_lex(q):
+    for n in range(1, 5):
+        for d in sorted({0, 1, q - 1, q, n * (q - 1) - 1, n * (q - 1)} - {-1}):
+            expected = [e for deg in range(d + 1) for e in sorted(bounded_compositions(deg, n, q - 1))]
+            assert rm_monomials(n, d, q) == expected
+
+
 class TestConstruction:
     @pytest.mark.parametrize("family,q,n,d", CONSTRUCTION_CASES)
     def test_matches_row_at_a_time_greedy(self, family, q, n, d):
@@ -264,7 +285,7 @@ class TestConstruction:
         monos = rm_monomials(n, d, q) if family == "rm" else homogeneous_monomials(n + 1, d)
         pts = affine_points(n, GF(q)) if family == "rm" else projective_points(n, GF(q))
         kept, _, rows = greedy_oracle(evaluate_monomials(monos, np.array(pts, dtype=np.int64), q), q)
-        assert code.gen.dtype == np.int64 and np.array_equal(code.gen, rows)
+        assert code.gen.dtype == np.uint8 and np.array_equal(code.gen, rows)
         assert code.basis_monomials == tuple(monos[i] for i in kept)
 
     def test_rm_dropped_row_raises(self, monkeypatch):
@@ -286,7 +307,7 @@ class TestEntryCap:
         def unreachable(*args):
             raise AssertionError("points listed before the entry cap was checked")
 
-        monkeypatch.setattr(prmw.codes, "affine_points", unreachable)
+        monkeypatch.setattr(prmw.codes, "affine_array", unreachable)
         with pytest.raises(BudgetExceeded, match=f"needs {21_700 * 2**20} entries, cap is {2**26}"):
             build(CodeParams("rm", 2, 20, 5))
 
@@ -330,6 +351,16 @@ class TestEvaluateMonomials:
         got = evaluate_monomials(monos, np.array(pts, dtype=np.int64), q)
         assert got.dtype == np.uint8
         expected = [[int(np.prod([pow(x, e, q) for x, e in zip(p, m)])) % q for p in pts] for m in monos]
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("q", SUPPORTED_PRIMES)
+    def test_zero_coordinates_and_top_exponents(self, q):
+        # exponents 0 and q-1 in every mix, at every point of P^2, whose
+        # zero coordinates must give 0^0 = 1 and 0^e = 0
+        exps = list(product([0, 1, q - 1], repeat=3))
+        pts = projective_points(2, GF(q))
+        got = evaluate_monomials(exps, np.array(pts), q)
+        expected = [[pow(x, a, q) * pow(y, b, q) * pow(z, c, q) % q for x, y, z in pts] for a, b, c in exps]
         assert got.tolist() == expected
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 13])

@@ -507,6 +507,25 @@ class TestSupports:
         assert supports.shape == (rows, code.length)
         assert [tuple(np.flatnonzero(row).tolist()) for row in supports] == expected
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_float_product_matches_int64_reference(self, q):
+        # random messages, some outside [0, q), and the all-(q-1) message,
+        # whose sums are the largest, against (msgs @ gen) % q in int64
+        code = build(CodeParams("prm", q, 2, {2: 3, 3: 4}.get(q, 3)))
+        rng = np.random.default_rng(q)
+        msgs = rng.integers(-3 * q, 3 * q, size=(50, code.dimension))
+        msgs = np.vstack([msgs, np.full((1, code.dimension), q - 1)])
+        expected = (msgs % q) @ code.gen.astype(np.int64) % q != 0
+        assert np.array_equal(codeword_support(code, msgs), expected)
+        assert np.array_equal(codeword_support(code, (msgs % q).astype(np.uint8)), expected)
+
+    def test_inexact_float_product_refused(self):
+        # k (q-1)^2 reaching 2^24 would not be exact in float32
+        k = 2**24 // 144 + 1
+        code = Code(CodeParams("prm", 13, 2, 2), np.zeros((k, 1), dtype=np.uint8), ())
+        with pytest.raises(RuntimeError, match="not exact in float32"):
+            codeword_support(code, np.zeros((1, k), dtype=np.uint8))
+
     def test_report_collects_witness_supports_once(self, monkeypatch):
         calls = []
         real = W.codeword_support
@@ -550,6 +569,17 @@ class TestBudget:
         code = Code(code.params, code.gen.view(NoProduct), code.basis_monomials)
         with pytest.raises(BudgetExceeded, match=f"needs budget {2**14}"):
             weight_report(code, budget=2**10)
+
+    def test_dual_row_refused_before_the_dual_is_computed(self, monkeypatch):
+        # binary RM(5,3), k = 26 of N = 32: the count would take the dual
+        # side, of dimension 6, shortened on two points to 2^4 messages
+        def unreachable(*args):
+            raise AssertionError("nullspace computed before the budget check")
+
+        code = build(CodeParams("rm", 2, 5, 3))
+        monkeypatch.setattr(W, "nullspace", unreachable)
+        with pytest.raises(BudgetExceeded, match=f"needs budget {2**4}, budget is 8"):
+            weight_report(code, budget=8)
 
     def test_witness_search_bounded(self):
         # PRM(2,6)/GF(5), k = 25: its count visits 157 messages, its
