@@ -208,7 +208,7 @@ class Code:
     enumeration (``affine_points`` for RM, ``projective_points`` for
     PRM).  ``basis_monomials`` are the monomials (in generation order)
     whose evaluation rows were kept as a basis; ``gen`` is the RREF of
-    those rows, so it has full row rank.
+    those rows, uint8 residues, so it has full row rank.
     """
 
     params: CodeParams

@@ -172,15 +172,13 @@ def projective_support(f: Poly, n: int, gf: GF) -> tuple[int, ...]:
 
 
 def _support_rows(supports, n: int, q: int) -> np.ndarray:
-    """One 0/1 row per support over the points of P^n, as float32: meet
-    sizes are at most N <= POINT_ENUM_CAP = 2^24, which float32 holds
-    exactly, and its matrix product is the fast one.  A boolean matrix
-    is taken as these rows; index sequences are placed in them."""
+    """One boolean row per support over the points of P^n.  A boolean
+    matrix is taken as these rows; index sequences are placed in them."""
     npts = projective_size(n, q)
     if isinstance(supports, np.ndarray) and supports.dtype == bool:
         if supports.ndim != 2 or supports.shape[1] != npts:
             raise DomainError(f"support matrix {supports.shape} is not rows of {npts} points")
-        return supports.astype(np.float32)
+        return supports
     supports = [tuple(sup) for sup in supports]
     if any(isinstance(sup[0], (bool, np.bool_)) for sup in supports if sup):
         raise DomainError("boolean supports are given as one matrix, not row by row")
@@ -188,19 +186,20 @@ def _support_rows(supports, n: int, q: int) -> np.ndarray:
     cols = np.fromiter(chain.from_iterable(supports), dtype=np.int64, count=sum(lengths))
     if cols.size and not 0 <= cols.min() <= cols.max() < npts:
         raise DomainError(f"support index outside [0, {npts - 1}]")
-    rows = np.zeros((len(supports), npts), dtype=np.float32)
-    rows[np.repeat(np.arange(len(supports)), lengths), cols] = 1
+    rows = np.zeros((len(supports), npts), dtype=bool)
+    rows[np.repeat(np.arange(len(supports)), lengths), cols] = True
     return rows
 
 
 def _meet_blocks(rows: np.ndarray, inc: np.ndarray):
     """Blocks ``(start, meets)`` of the supports x subspaces meet sizes,
     meets[i, j] = |support start+i & subspace j|, ``F32_BLOCK`` entries
-    at a time."""
+    at a time.  Each is a float32 product of 0/1 rows: meet sizes are at
+    most N <= POINT_ENUM_CAP = 2^24, which float32 holds exactly."""
     inc_t = inc.T.astype(np.float32)
     step = max(1, F32_BLOCK // max(1, len(inc)))
     for start in range(0, len(rows), step):
-        yield start, rows[start : start + step] @ inc_t
+        yield start, rows[start : start + step].astype(np.float32) @ inc_t
 
 
 def _first_avoiders(rows: np.ndarray, n: int, q: int, r: int) -> np.ndarray:
