@@ -259,8 +259,8 @@ CONSTRUCTION_CASES = [
 
 
 def bounded_compositions(total, parts, bound):
-    """The recursive enumeration rm_monomials replaced: the vectors of
-    ``parts`` entries in [0, bound] summing to ``total``."""
+    """Recursive oracle for rm_monomials: the vectors of ``parts``
+    entries in [0, bound] summing to ``total``."""
     if parts == 0:
         return [()] if total == 0 else []
     out = []

@@ -511,7 +511,7 @@ class TestSupports:
     def test_float_product_matches_int64_reference(self, q):
         # random messages, some outside [0, q), and the all-(q-1) message,
         # whose sums are the largest, against (msgs @ gen) % q in int64
-        code = build(CodeParams("prm", q, 2, {2: 3, 3: 4}.get(q, 3)))
+        code = build(CodeParams("prm", q, 2, 3))
         rng = np.random.default_rng(q)
         msgs = rng.integers(-3 * q, 3 * q, size=(50, code.dimension))
         msgs = np.vstack([msgs, np.full((1, code.dimension), q - 1)])
