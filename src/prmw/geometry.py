@@ -281,7 +281,7 @@ def check_subspace_bounds(supports, params: CodeParams, dims=None) -> list[Bound
     violations = []
     for s in dims:
         required = w1_prm(s, d, q)
-        forms, inc = _subspaces(n, q, s)
+        forms, inc = _subspaces(n, q, s)  # before the skip: a budget refusal stands
         if required <= 1:
             continue  # meets are integers: none lies strictly between 0 and 1
         for start, meets in _meet_blocks(rows, inc):
