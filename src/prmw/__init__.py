@@ -13,8 +13,6 @@ from .codes import (
     Code,
     CodeParams,
     build,
-    build_prm,
-    build_rm,
     code_to_bitdump,
     code_to_json,
     rref,
@@ -46,7 +44,6 @@ from .weights import (
     Witness,
     codeword_support,
     naive_weight_counts,
-    report_to_json,
     weight_report,
 )
 
@@ -66,8 +63,6 @@ __all__ = [
     "Witness",
     "affine_points",
     "build",
-    "build_prm",
-    "build_rm",
     "check_subspace_bounds",
     "code_to_bitdump",
     "code_to_json",
@@ -80,7 +75,6 @@ __all__ = [
     "parse_poly",
     "projective_points",
     "projective_support",
-    "report_to_json",
     "rref",
     "subspace_from_forms",
     "weight_report",

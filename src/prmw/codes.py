@@ -1,19 +1,21 @@
 """Generator matrices for RM(n,d) and PRM(n,d) over GF(q).
 
-A code is built by evaluating a deterministic monomial list at the
-canonical point enumeration and row-reducing.  Every generator matrix is
-uint8 residues from evaluation to serialization.  The whole evaluation
-matrix (monomials x points) is refused from its size past
-``ENTRY_CAP`` entries and otherwise computed in the log domain: one
-exact float32 product of the exponents with the points' discrete logs,
-then one antilog lookup.  ``_eliminate`` then visits its rows in
-monomial order, keeps each row still nonzero when visited, and clears
-that row's pivot column from every other row in one whole-matrix update.
-The rows are stored per field size, as 64-bit words updated by XOR for
-q = 2 and as uint8 residues for q > 2.  Dimension is always the numeric
-rank of the evaluation matrix; no closed dimension formula is assumed
-anywhere.  The vanishing-ideal quotients are realized as the row space
-(image) and the kernel of that matrix.
+``build`` is the one constructor for both families: it evaluates a
+deterministic monomial list (the reduced basis for RM, every degree-d
+monomial in n+1 variables for PRM) at the canonical point enumeration
+and row-reduces.  Every generator matrix is uint8 residues from
+evaluation to serialization.  The whole evaluation matrix (monomials x
+points) is refused from its size past ``ENTRY_CAP`` entries and
+otherwise computed in the log domain: one exact float32 product of the
+exponents with the points' discrete logs, then one antilog lookup.
+``_eliminate`` then visits its rows in monomial order, keeps each row
+still nonzero when visited, and clears that row's pivot column from
+every other row in one whole-matrix update.  The rows are stored per
+field size, as 64-bit words updated by XOR for q = 2 and as uint8
+residues for q > 2.  Dimension is always the numeric rank of the
+evaluation matrix; no closed dimension formula is assumed anywhere.  The
+vanishing-ideal quotients are realized as the row space (image) and the
+kernel of that matrix.
 
 GF(q) linear algebra lives here too: rref and nullspace are thin
 wrappers around the same ``_eliminate``, on int64 arrays with mod-q
@@ -272,52 +274,32 @@ def evaluate_monomials(exps: list[Expvec], pts: np.ndarray, q: int) -> np.ndarra
     return out
 
 
-def _build(params: CodeParams, monomials: list[Expvec]) -> Code:
-    n, q = params.n, params.q
+def build(params: CodeParams) -> Code:
+    """RM(n, d) evaluates the reduced monomial basis at all affine points;
+    PRM(n, d) evaluates all degree-d monomials in n+1 variables at the
+    standard projective points, and the rank computes the quotient by the
+    degree-d slice of the projective vanishing ideal."""
+    n, q, d = params.n, params.q, params.d
     rm = params.family == RM
+    monomials = rm_monomials(n, d, q) if rm else homogeneous_monomials(n + 1, d)
     # the evaluation matrix is monomials x points: refuse it before any
     # point is listed
     entries = len(monomials) * (affine_size(n, q) if rm else projective_size(n, q))
     if entries > ENTRY_CAP:
         raise BudgetExceeded(
-            f"the evaluation matrix of {params.family}(n={n}, d={params.d}) over GF({q}) "
+            f"the evaluation matrix of {params.family}(n={n}, d={d}) over GF({q}) "
             f"needs {entries} entries, cap is {ENTRY_CAP}"
         )
     points = (affine_array if rm else projective_array)(n, q)
     # greedy: keep the monomials whose rows grow the rank, so
     # basis_monomials is an actual monomial subset
-    evaluated = evaluate_monomials(monomials, points, q)
-    gen, _, kept = _eliminate(evaluated, q)
-    return Code(params, gen, tuple(monomials[i] for i in kept))
-
-
-def build_rm(params: CodeParams) -> Code:
-    """RM(n, d): evaluate the reduced monomial basis at all affine points."""
-    if params.family != RM:
-        raise DomainError(f"expected family {RM!r}, got {params.family!r}")
-    monomials = rm_monomials(params.n, params.d, params.q)
-    code = _build(params, monomials)
+    gen, _, kept = _eliminate(evaluate_monomials(monomials, points, q), q)
     # evaluation on the reduced monomial basis is injective; check it
-    if code.dimension != len(monomials):
+    if rm and len(kept) != len(monomials):
         raise RuntimeError(
-            f"reduced monomial basis not independent: {code.dimension} != {len(monomials)}"
+            f"reduced monomial basis not independent: {len(kept)} != {len(monomials)}"
         )
-    return code
-
-
-def build_prm(params: CodeParams) -> Code:
-    """PRM(n, d): evaluate all degree-d monomials in n+1 variables at the
-    standard projective points.  The kernel of the evaluation matrix is
-    the degree-d slice of the projective vanishing ideal, so the rank
-    computes the quotient dimension."""
-    if params.family != PRM:
-        raise DomainError(f"expected family {PRM!r}, got {params.family!r}")
-    monomials = homogeneous_monomials(params.n + 1, params.d)
-    return _build(params, monomials)
-
-
-def build(params: CodeParams) -> Code:
-    return build_rm(params) if params.family == RM else build_prm(params)
+    return Code(params, gen, tuple(monomials[i] for i in kept))
 
 
 # -- serialization ------------------------------------------------------------

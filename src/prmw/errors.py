@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed its point / message / subspace cap.
+    """An enumeration would exceed its point / message / entry cap.
 
     The message names the budget that would be required, except for a
     witness search, whose length is not known ahead: it names the budget

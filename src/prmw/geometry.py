@@ -36,8 +36,6 @@ from .gfp import F32_BLOCK, GF, require_f32_exact
 from .points import ENTRY_CAP, projective_array, projective_size
 from .poly import Poly
 
-SUBSPACE_ENUM_CAP = 10**6
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -99,11 +97,6 @@ def _subspaces(n: int, q: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     in enumeration order and their incidence matrix, row i holding the
     points of subspace i; ``_subspace(forms[i], inc[i])`` is subspace i."""
     count = gaussian_binomial(n + 1, s + 1, q)
-    if count > SUBSPACE_ENUM_CAP:
-        raise BudgetExceeded(
-            f"enumerating dimension-{s} subspaces of P^{n}(GF({q})) "
-            f"needs {count} subspaces, cap is {SUBSPACE_ENUM_CAP}"
-        )
     entries = count * (n - s) * projective_size(n, q)
     if entries > ENTRY_CAP:
         raise BudgetExceeded(

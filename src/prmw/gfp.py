@@ -79,7 +79,3 @@ class GF:
 
     def __hash__(self) -> int:
         return hash(("GF", self.q))
-
-    def elements(self) -> range:
-        """All residues 0 .. q-1."""
-        return range(self.q)

@@ -41,16 +41,6 @@ class Poly:
         self.nvars = nvars
         self.terms = canon
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, gf: GF, nvars: int) -> "Poly":
-        return cls(gf, nvars, {})
-
-    @classmethod
-    def constant(cls, gf: GF, nvars: int, c: int) -> "Poly":
-        return cls(gf, nvars, {(0,) * nvars: c})
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -101,7 +101,6 @@ witnesses.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -370,7 +369,7 @@ def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
         rows = gen.astype(np.uint8)
 
         def add(a, g):
-            return (a + g) % q
+            return reduce_mod(a + g, q)
 
         def offset(digits, high):
             # -cw mod q for h's codeword cw: coordinate c of table[:, s] + cw
@@ -491,29 +490,3 @@ def naive_weight_counts(code: Code, limit: int = 1 << 16) -> dict[int, int]:
     counts = np.bincount(w, minlength=code.length + 1)
     return {i: int(c) for i, c in enumerate(counts) if c}
 
-
-# -- serialization --------------------------------------------------------------
-
-
-def report_to_json(report: WeightReport) -> str:
-    p = report.params
-    doc = {
-        "family": p.family,
-        "q": p.q,
-        "n": p.n,
-        "d": p.d,
-        "length": report.length,
-        "dimension": report.dimension,
-        "w1": report.min_weight,
-        "w2": report.next_weight,
-        "counts": {str(w): c for w, c in sorted(report.weight_counts.items())},
-        "witnesses": [
-            {"message": list(wit.message), "support": list(wit.support)}
-            for wit in report.witnesses
-        ],
-        "scanned": report.codewords_scanned,
-        "side": report.side,
-        "transform": report.transform,
-        "elapsed_ms": report.elapsed_ms,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -14,8 +14,6 @@ from prmw import (
     DomainError,
     affine_points,
     build,
-    build_prm,
-    build_rm,
     code_to_bitdump,
     code_to_json,
     projective_points,
@@ -217,17 +215,17 @@ class TestCodeParams:
 
 class TestBuildRm:
     def test_rm_2_1_gf2(self):
-        code = build_rm(CodeParams("rm", 2, 2, 1))
+        code = build(CodeParams("rm", 2, 2, 1))
         assert (code.length, code.dimension) == (4, 3)
         assert code.basis_monomials == ((0, 0), (0, 1), (1, 0))
 
     def test_rm_full_space(self):
         # d >= n(q-1) fills the whole ambient space
-        code = build_rm(CodeParams("rm", 2, 2, 2))
+        code = build(CodeParams("rm", 2, 2, 2))
         assert (code.length, code.dimension) == (4, 4)
 
     def test_rm_2_2_gf3(self):
-        code = build_rm(CodeParams("rm", 3, 2, 2))
+        code = build(CodeParams("rm", 3, 2, 2))
         assert (code.length, code.dimension) == (9, 6)
         assert len(rm_monomials(2, 2, 3)) == 6
 
@@ -235,12 +233,8 @@ class TestBuildRm:
     def test_reduced_basis_injective(self, q, n, dmax):
         # dimension always equals the reduced monomial count
         for d in range(0, dmax + 1):
-            code = build_rm(CodeParams("rm", q, n, d))
+            code = build(CodeParams("rm", q, n, d))
             assert code.dimension == len(rm_monomials(n, d, q))
-
-    def test_family_mismatch(self):
-        with pytest.raises(DomainError):
-            build_rm(CodeParams("prm", 2, 2, 2))
 
 
 CONSTRUCTION_CASES = [
@@ -297,7 +291,7 @@ class TestConstruction:
 
         monkeypatch.setattr(prmw.codes, "_eliminate", drop_last)
         with pytest.raises(RuntimeError):
-            build_rm(CodeParams("rm", 3, 2, 2))
+            build(CodeParams("rm", 3, 2, 2))
 
 
 class TestEntryCap:
@@ -375,21 +369,21 @@ class TestEvaluateMonomials:
 
 class TestBuildPrm:
     def test_prm_2_2_gf2(self):
-        code = build_prm(CodeParams("prm", 2, 2, 2))
+        code = build(CodeParams("prm", 2, 2, 2))
         assert (code.length, code.dimension) == (7, 6)
         assert span_size(code) == 2**6
 
     def test_prm_3_2_gf2(self):
-        code = build_prm(CodeParams("prm", 2, 3, 2))
+        code = build(CodeParams("prm", 2, 3, 2))
         assert (code.length, code.dimension) == (15, 10)
 
     def test_prm_kernel_nontrivial_gf3(self):
         # degree-(q+1) relations enter the kernel for d = 5 over GF(3)
-        code = build_prm(CodeParams("prm", 3, 2, 5))
+        code = build(CodeParams("prm", 3, 2, 5))
         assert code.dimension < len(homogeneous_monomials(3, 5))
 
     def test_full_space_past_range(self):
-        code = build_prm(CodeParams("prm", 2, 2, 3))
+        code = build(CodeParams("prm", 2, 2, 3))
         assert code.dimension == code.length == 7
 
     @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2)])
@@ -404,7 +398,7 @@ class TestBuildPrm:
                     assert v == 0
 
     def test_column_point_correspondence(self):
-        code = build_prm(CodeParams("prm", 2, 2, 2))
+        code = build(CodeParams("prm", 2, 2, 2))
         pts = projective_points(2, GF(2))
         assert code.length == len(pts)
         # each basis monomial's evaluation lies in the row space
@@ -418,7 +412,7 @@ class TestBuildPrm:
             assert rank == code.dimension
 
     def test_dimension_invariant_under_monomial_order(self):
-        code = build_prm(CodeParams("prm", 2, 3, 2))
+        code = build(CodeParams("prm", 2, 3, 2))
         rng = np.random.default_rng(3)
         monos = homogeneous_monomials(4, 2)
         pts = projective_points(3, GF(2))

@@ -71,13 +71,14 @@ class TestEnumeration:
             enumerate_subspaces(3, gf2, -1)
 
     def test_cap(self, monkeypatch):
-        # P^9/GF(2) has 109,221,651 subspaces of dimension 4: refused
-        # from their count, before any is built
+        # P^9/GF(2) has 109,221,651 subspaces of dimension 4, each cut out
+        # by 5 forms: their values at the 1023 points are 558,668,744,865
+        # entries, refused from that size before any subspace is built
         import prmw.geometry as G
 
         monkeypatch.setattr(G, "combinations", None)
         assert G.gaussian_binomial(10, 5, 2) == 109_221_651
-        with pytest.raises(BudgetExceeded, match="needs 109221651 subspaces"):
+        with pytest.raises(BudgetExceeded, match="needs 558668744865 entries, cap is 67108864"):
             enumerate_subspaces(9, gf2, 4)
 
     def test_subspace_from_forms(self):

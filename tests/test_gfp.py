@@ -1,12 +1,7 @@
 import pytest
 
 from prmw import GF, DomainError
-from prmw.gfp import SUPPORTED_PRIMES, is_prime
-
-
-def test_elements_are_the_residues():
-    for q in SUPPORTED_PRIMES:
-        assert list(GF(q).elements()) == list(range(q))
+from prmw.gfp import is_prime
 
 
 @pytest.mark.parametrize("q", [0, 1, 4, 6, 9, 15])

@@ -88,6 +88,17 @@ def test_benchmark_traced_names_are_cli_callables():
     assert [n for n in names if n not in called] == []
 
 
+def test_benchmark_self_check_passes():
+    # the benchmark's smoke run imports prmw from this checkout's src, so
+    # a removed or renamed name it uses fails here
+    run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    proc = subprocess.run(
+        [sys.executable, str(run), "--self-check"], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ", 0 problems" in proc.stdout
+
+
 def _import_in_fresh_interpreter(openblas_threads, then="pass"):
     """Thread count, OPENBLAS_NUM_THREADS and whether concurrent.futures
     and numpy.ma are loaded, after ``import prmw.cli`` and the statements
