@@ -19,7 +19,8 @@ kernel of that matrix.
 
 GF(q) linear algebra lives here too: rref and nullspace are thin
 wrappers around the same ``_eliminate``, on int64 arrays with mod-q
-arithmetic.
+arithmetic; ``rref_kernel`` reads a reduced matrix's kernel off its
+non-pivot columns with no elimination, in the matrix's dtype.
 
 Serialization: ``code_to_json`` renders the generator rows in one array
 pass over the residues' digits, with the bytes ``json.dumps`` would
@@ -154,20 +155,30 @@ def rref(mat: np.ndarray, gf: GF) -> tuple[np.ndarray, int, list[int]]:
     return red, len(pivots), pivots
 
 
+def rref_kernel(red: np.ndarray, q: int) -> np.ndarray:
+    """Kernel basis of ``red``, residues mod q in reduced row echelon form
+    with no zero row (else DomainError), in its dtype: one vector per
+    non-pivot column, 1 there, minus that column at the pivots."""
+    rank, cols = red.shape
+    pivots = (red != 0).argmax(axis=1)
+    if not np.array_equal(red[:, pivots], np.eye(rank, dtype=red.dtype)):
+        raise DomainError("matrix is not in reduced row echelon form with full row rank")
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    basis = np.zeros((cols - rank, cols), dtype=red.dtype)
+    basis[:, free] = np.eye(cols - rank, dtype=red.dtype)
+    basis[:, pivots] = ((q - red[:, free]) % q).T
+    return basis
+
+
 def nullspace(mat: np.ndarray, gf: GF) -> np.ndarray:
-    """Basis of the right kernel of ``mat`` over GF(q), one row per vector:
-    one per non-pivot column, 1 there and minus the reduced matrix's
-    entries of that column at the pivot columns."""
+    """Basis of the right kernel of ``mat`` over GF(q), one row per
+    vector: ``rref_kernel`` of its reduced form."""
     m = np.array(mat, dtype=np.int64) % gf.q
     if m.size == 0:
-        cols = m.shape[1] if m.ndim == 2 else 0
-        return np.eye(cols, dtype=np.int64)
-    red, rank, pivots = rref(m, gf)
-    free = [c for c in range(m.shape[1]) if c not in pivots]
-    basis = np.zeros((len(free), m.shape[1]), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-red[:rank, free]).T % gf.q
-    return basis
+        return np.eye(m.shape[-1], dtype=np.int64)
+    red, rank, _ = rref(m, gf)
+    return rref_kernel(red[:rank], gf.q)
 
 
 # -- monomial bases ----------------------------------------------------------

@@ -255,7 +255,7 @@ class BoundViolation:
     required: int
 
 
-def check_subspace_bounds(supports, params: CodeParams, dims=None) -> list[BoundViolation]:
+def check_subspace_bounds(supports, params: CodeParams) -> list[BoundViolation]:
     """Verify the intersection lower bound on every linear subspace:
     a support either misses a subspace or meets it in at least the
     minimum weight of the projective code of that dimension.  Returns
@@ -266,13 +266,9 @@ def check_subspace_bounds(supports, params: CodeParams, dims=None) -> list[Bound
     n, q, d = params.n, params.q, params.d
     if d < 2:
         raise DomainError(f"subspace bounds need d >= 2, got d={d}")
-    dims = list(range(1, n) if dims is None else dims)
-    for s in dims:
-        if not 0 <= s <= n - 1:
-            raise DomainError(f"subspace dimension s={s} outside [0, {n - 1}]")
     rows = _support_rows(supports, n, q)
     violations = []
-    for s in dims:
+    for s in range(1, n):
         required = w1_prm(s, d, q)
         forms, inc = _subspaces(n, q, s)  # before the skip: a budget refusal stands
         if required <= 1:

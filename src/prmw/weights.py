@@ -6,8 +6,9 @@ next-to-minimal weights, and witness codewords.
 The counting pass starts from whichever of the code and its dual has
 the strictly smaller dimension.  For a code of length N and dimension
 k with N - k < k, the dual generator is the kernel of the generator
-matrix; its distribution B is found and the code's distribution is
-recovered exactly by the MacWilliams identity
+matrix, read off its reduced row echelon form with no elimination
+(``codes.rref_kernel``); its distribution B is found and the code's
+distribution is recovered exactly by the MacWilliams identity
 
     A_j = q^-(N-k) * sum_i B_i * K_j(i; N, q)
 
@@ -23,34 +24,37 @@ N - k = k included, the code itself is used.  The report's ``side``
 ("primal" or "dual") names the side chosen.
 
 That side, of dimension k', is not enumerated itself but shortened on
-two points: its subcode vanishing on coordinates 0 and 1, of dimension
-k' - 2, is counted.  RM(n, d) is invariant under AGL(n, q) and PRM(n, d)
-under PGL(n+1, q), which acts on the standard representatives by
-monomial maps (permute the points, scale the values); both groups are
-2-transitive on the points (Delsarte-Goethals-MacWilliams 1970;
-Sorensen, "Projective Reed-Muller codes", 1991), and a dual has the
-same group.  So every ordered pair of distinct coordinates has the same
-number S_w of weight-w codewords vanishing on both, and counting pairs
-(codeword, pair of its zeros) two ways gives
+two points.  Rows 0 and 1 of its generator are unit vectors at two
+coordinates: the first two pivots of the RREF generator (points 0 and 1
+on RM and PRM codes), or, for the dual, its first two non-pivot columns.
+So the words vanishing on both are the span of the other rows, of
+dimension k' - 2, and that subcode is counted.  RM(n, d) is invariant
+under AGL(n, q) and PRM(n, d) under PGL(n+1, q), which acts on the
+standard representatives by monomial maps (permute the points, scale
+the values); both groups are 2-transitive on the points
+(Delsarte-Goethals-MacWilliams 1970; Sorensen, "Projective Reed-Muller
+codes", 1991), and a dual has the same group.  So every ordered pair of
+distinct coordinates has the same number S_w of weight-w codewords
+vanishing on both, and counting pairs (codeword, pair of its zeros) two
+ways gives
 
     A_w * (N-w)(N-w-1) = N(N-1) * S_w      for w <= N - 2;
 
 A_(N-1) and A_N follow from sum A_w = q^k' and sum w*A_w =
 N(q-1)q^(k'-1), which holds because no coordinate is zero on the whole
 code.  A non-integral or negative A_w, or a subcode count other than
-q^(k'-2), raises: a code without such a group breaks these checks.
-When columns 0 and 1 of the side's generator are dependent (e.g.
-RM(n, 0), or a side of dimension below 2) the side is counted whole.  The report's
-``transform`` names the steps from the count to the distribution
-("none", "macwilliams", "two-point" or "two-point+macwilliams") and
-``codewords_scanned`` is what the counting pass visited.  On a 2-vCPU
-VM PRM(3,3)/GF(3) counts the 193,710,245 classes of its shortened
-[40,18] subcode in about 2 s.
+q^(k'-2), raises: a code without such a group breaks these checks.  A
+side of dimension below 2 (e.g. RM(n, 0)) is counted whole.  The
+report's ``transform`` names the steps from the count to the
+distribution ("none", "macwilliams", "two-point" or
+"two-point+macwilliams") and ``codewords_scanned`` is what the counting
+pass visited.  On a 2-vCPU VM PRM(3,3)/GF(3) counts the 193,710,245
+classes of its shortened [40,18] subcode in about 2 s.
 
-The budget caps the messages a pass visits.  A report whose count would
-visit more than the budget refuses before it starts and names the count
-as the budget it needs; the witness search, which walks the code itself
-and cannot know its length ahead, raises once it has visited more.
+The budget caps the messages a pass visits.  A count past it is refused
+from k' alone, before anything is built, naming the budget it needs;
+the witness search, which walks the code itself and cannot know its
+length ahead, raises once it has visited more.
 
 Both fields enumerate one codeword per scalar class: the message whose
 highest nonzero digit is 1, which for q = 2 is every nonzero message.
@@ -107,7 +111,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Code, nullspace, pack_bits
+from .codes import Code, pack_bits, rref_kernel
 from .errors import BudgetExceeded, DomainError
 from .gfp import F32_BLOCK, reduce_mod, require_f32_exact
 
@@ -183,28 +187,26 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
     and its checks raise RuntimeError when they catch that."""
     budget = DEFAULT_BUDGET if budget is None else budget
     t0 = time.perf_counter()
-    q = code.params.q
-    dim = code.dimension
-    length = code.length
-    # the counted side has dimension k' = min(k, N - k), and the count
-    # visits at least its words vanishing on two points: refuse before
-    # the dual's Gauss-Jordan pass where even those are past budget
-    if min(dim, length - dim) >= 2:
-        _refuse_past_budget(code, min(dim, length - dim) - 2, budget)
-    if length - dim < dim:
-        side, gen = "dual", nullspace(code.gen, code.gf)
-    else:
-        side, gen = "primal", code.gen
-    # the words of the counted side that vanish on coordinates 0 and 1:
-    # dimension k - 2 unless those columns of its generator are dependent
-    short = nullspace(gen[:, :2].T, code.gf)
-    shortened = short.shape[0] == gen.shape[0] - 2
-    scanned = _refuse_past_budget(code, short.shape[0] if shortened else gen.shape[0], budget)
-    counted = (short @ gen) % q if shortened else gen
-    counts = [int(c) for c in _counts(counted, q)]
+    p, dim, length = code.params, code.dimension, code.length
+    q = p.q
+    # the counted side, of dimension k' = min(k, N - k), is shortened on
+    # two points to k' - 2 unless k' < 2: refuse before anything is built
+    side_dim = min(dim, length - dim)
+    shortened = side_dim >= 2
+    scanned = 1 + (q ** (side_dim - 2 * shortened) - 1) // (q - 1)
+    if scanned > budget:
+        raise BudgetExceeded(
+            f"{p.family}(n={p.n}, d={p.d}) over GF({q}) "
+            f"counts {scanned} messages; needs budget {scanned}, budget is {budget}"
+        )
+    side = "dual" if length - dim < dim else "primal"
+    gen = rref_kernel(code.gen, q) if side == "dual" else code.gen
+    # rows 0 and 1 are unit vectors at two coordinates: the words
+    # vanishing on both are the span of the other rows
+    counts = [int(c) for c in _counts(gen[2:] if shortened else gen, q)]
     transforms = []
     if shortened:
-        counts = _two_point(counts, q, gen.shape[0])
+        counts = _two_point(counts, q, side_dim)
         transforms.append("two-point")
     if side == "dual":
         counts = _macwilliams(counts, q, dim)
@@ -240,24 +242,11 @@ def weight_report(code: Code, budget: int | None = None) -> WeightReport:
     )
 
 
-def _refuse_past_budget(code: Code, k: int, budget: int) -> int:
-    """The messages a count of dimension k stands for, the zero word and
-    one per scalar class; BudgetExceeded if they are past ``budget``."""
-    p = code.params
-    scanned = 1 + (p.q**k - 1) // (p.q - 1)
-    if scanned > budget:
-        raise BudgetExceeded(
-            f"{p.family}(n={p.n}, d={p.d}) over GF({p.q}) "
-            f"counts {scanned} messages; needs budget {scanned}, budget is {budget}"
-        )
-    return scanned
-
-
 def _two_point(short_counts: list[int], q: int, dim: int) -> list[int]:
     """Weight distribution of a code of length N and dimension ``dim``
     whose monomial automorphisms act 2-transitively on the coordinates,
     from ``short_counts[w]`` = S_w, the number of weight-w codewords
-    vanishing on coordinates 0 and 1 (a subcode of dimension dim - 2):
+    vanishing on two coordinates (a subcode of dimension dim - 2):
     A_w * (N-w)(N-w-1) = N(N-1) * S_w for w <= N-2, and A_(N-1), A_N from
     sum A_w = q^dim and sum w*A_w = N(q-1)q^(dim-1), exactly."""
     length = len(short_counts) - 1

@@ -225,7 +225,7 @@ def test_criterion_6_subspace_bound_suite():
         _, supports = all_nonzero_codeword_supports(code)
         bad = 0
         for support in supports:
-            bad += len(check_subspace_bounds([support], code.params, dims=(1, 2)))
+            bad += len(check_subspace_bounds([support], code.params))
         if bad:
             failures.append(f"PRM(3,{d}): {bad} intersection-bound violations")
     report_line(6, "intersection bounds hold on every codeword of PRM(3,2), PRM(3,3)", failures)

@@ -29,6 +29,7 @@ from prmw.codes import (
     nullspace,
     pack_bits,
     rm_monomials,
+    rref_kernel,
 )
 from prmw.gfp import SUPPORTED_PRIMES
 from prmw.points import POINT_ORDER_VERSION
@@ -126,6 +127,10 @@ class TestRref:
         red, rank, pivots = rref([[1, 1], [1, 0]], GF(2))
         assert red.tolist() == [[1, 0], [0, 1]]
         assert rank == 2 and pivots == [0, 1]
+        # the kernel is read off the reduced form only
+        assert rref_kernel(red, 2).shape == (0, 2)
+        with pytest.raises(DomainError, match="not in reduced row echelon form"):
+            rref_kernel(np.array([[1, 1], [1, 0]]), 2)
 
     def test_gf3_dependent_rows(self):
         red, rank, pivots = rref([[1, 1], [2, 2]], GF(3))

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import prmw.codes
 import prmw.weights as W
 from prmw import CodeParams, build, naive_weight_counts, weight_report
-from prmw.codes import Code, nullspace, rref
+from prmw.codes import Code, nullspace, rref, rref_kernel
 from prmw.gfp import GF
 
 NAIVE_LIMIT = 1 << 16
@@ -98,6 +99,21 @@ class TestSideChoice:
         assert (rep.side, rep.codewords_scanned) == ("dual", 1)
         assert rep.weight_counts == naive_weight_counts(code)
 
+    def test_report_runs_no_elimination(self, monkeypatch):
+        # code.gen is already reduced: the dual is read off it and either
+        # side's two-point subcode is a slice of its rows
+        codes = [build(CodeParams(*c)) for c in [("rm", 2, 5, 2), ("prm", 2, 3, 3),
+                                                 ("prm", 3, 3, 2), ("prm", 3, 2, 3)]]
+
+        def no_elimination(*args):
+            raise AssertionError("weight_report ran a Gauss-Jordan pass")
+
+        monkeypatch.setattr(prmw.codes, "_eliminate", no_elimination)
+        reports = [weight_report(code) for code in codes]
+        assert [rep.side for rep in reports] == ["primal", "dual", "primal", "dual"]
+        for code, rep in zip(codes, reports):
+            assert rep.weight_counts == naive_weight_counts(code)
+
     @pytest.mark.parametrize("family,q,n,d", [("rm", 2, 5, 2), ("prm", 7, 1, 3)])
     def test_tie_stays_primal(self, family, q, n, d):
         code = build(CodeParams(family, q, n, d))
@@ -155,14 +171,21 @@ class TestTwoPoint:
     # 2-transitive on the points; RM and PRM are checked against the
     # unshortened count by test_report_matches_primal_enumeration
 
-    @pytest.mark.parametrize("q", [2, 3])
-    def test_random_code_breaks_checks(self, q):
-        # a random [10,4] code has no 2-transitive group: the shortened
-        # count does not transform to integers
-        gen = np.random.default_rng(1).integers(0, q, size=(4, 10))
-        red, rank, _ = rref(gen, GF(q))
+    @pytest.mark.parametrize(
+        "q,seed", [(2, 1), (3, 1), (3, 2)], ids=["2", "3", "3-dependent-columns"]
+    )
+    def test_random_code_breaks_checks(self, q, seed):
+        # a random code has no 2-transitive group: the shortened count
+        # does not transform to integers.  Seed 1 draws a [10,4] code, seed
+        # 2 an [8,3] code whose column 1 is twice column 0, shortened at
+        # its first two pivots, columns 0 and 2
+        shape = (4, 10) if seed == 1 else (3, 8)
+        gen = np.random.default_rng(seed).integers(0, q, size=shape)
+        if seed == 2:
+            gen[:, 1] = 2 * gen[:, 0] % q
+        red, rank, pivots = rref(gen, GF(q))
         code = _matrix_code(red[:rank], q)
-        assert rank == 4
+        assert rank == shape[0] and pivots[:2] == ([0, 1] if seed == 1 else [0, 2])
         with pytest.raises(RuntimeError, match="two-point transform for weight 3 is not an integer"):
             weight_report(code)
 
@@ -171,18 +194,6 @@ class TestTwoPoint:
         # then A_3 = 4 and A_4 = -1
         with pytest.raises(RuntimeError, match="gives -1 codewords of weight 4"):
             W._two_point([1, 0, 0, 0, 0], 2, 2)
-
-    def test_dependent_columns_counted_unshortened(self):
-        # column 1 is twice column 0: every codeword vanishing on
-        # coordinate 0 vanishes on 1, so the subcode has dimension k - 1
-        gen = np.random.default_rng(2).integers(0, 3, size=(3, 8))
-        gen[:, 1] = 2 * gen[:, 0] % 3
-        red, rank, _ = rref(gen, GF(3))
-        code = _matrix_code(red[:rank], 3)
-        rep = weight_report(code)
-        assert (rep.side, rep.transform) == ("primal", "none")
-        assert rep.codewords_scanned == 1 + (3**rank - 1) // 2
-        assert rep.weight_counts == naive_weight_counts(code)
 
 
 @st.composite
@@ -212,7 +223,16 @@ def test_transform_of_naive_dual_is_naive_primal(qgen):
     q, gen = qgen
     dim, length = gen.shape
     primal = naive_weight_counts(_matrix_code(gen, q))
-    dual = naive_weight_counts(_matrix_code(nullspace(gen, GF(q)), q))
+    kernel = nullspace(gen, GF(q))
+    dual = naive_weight_counts(_matrix_code(kernel, q))
+    # the kernel read off the reduced form, in its dtype, is a unit vector
+    # at each non-pivot column and annihilates the code
+    _, _, pivots = rref(gen, GF(q))
+    free = [c for c in range(length) if c not in pivots]
+    for red in (gen, gen.astype(np.uint8)):
+        read_off = rref_kernel(red, q)
+        assert read_off.dtype == red.dtype and np.array_equal(read_off, kernel)
+    assert np.array_equal(kernel[:, free], np.eye(length - dim)) and not (gen @ kernel.T % q).any()
     as_list = [dual.get(i, 0) for i in range(length + 1)]
     assert _as_dict(W._macwilliams(as_list, q, dim)) == primal
 

@@ -134,7 +134,7 @@ class TestSubspaceBounds:
     def test_all_codewords_prm_2_2(self):
         code = build(CodeParams("prm", 2, 2, 2))
         for msg in nonzero_messages(code.dimension, 2):
-            assert check_subspace_bounds(codeword_support(code, [msg]), code.params, dims=[1]) == []
+            assert check_subspace_bounds(codeword_support(code, [msg]), code.params) == []
 
     def test_quadric_codeword(self):
         f = parse_poly("X0*X3+X1*X2", 4, gf2)
@@ -142,10 +142,11 @@ class TestSubspaceBounds:
         assert check_subspace_bounds([support], CodeParams("prm", 2, 3, 2)) == []
 
     def test_adversarial_single_point(self):
-        # one point meets some plane in exactly 1 < W1_PRM(2, 2) = 2
+        # one point meets some plane in exactly 1 < W1_PRM(2, 2) = 2; the
+        # lines' bound W1_PRM(1, 2) = 1 cannot be violated
         params = CodeParams("prm", 2, 3, 2)
-        assert w1_prm(2, 2, 2) == 2
-        violations = check_subspace_bounds([[0]], params, dims=[2])
+        assert (w1_prm(1, 2, 2), w1_prm(2, 2, 2)) == (1, 2)
+        violations = check_subspace_bounds([[0]], params)
         assert violations and all(v.meet_size == 1 and v.required == 2 for v in violations)
 
     def test_requires_projective_order(self):
@@ -305,7 +306,7 @@ class TestBatchedPredicates:
             for row in codeword_support(code, [(1,) + (0,) * 9, (0, 1) + (0,) * 8])
         ]
         batch = [good[0], (0,), good[1], (0, 1)]
-        violations = check_subspace_bounds(batch, code.params, dims=[2])
+        violations = check_subspace_bounds(batch, code.params)
         assert [v.row for v in violations] == [1] * 7 + [3] * 8
         assert all(v.s == 2 and v.meet_size == 1 and v.required == 2 for v in violations)
         assert all(set(v.subspace.point_indices) & set(batch[v.row]) for v in violations)

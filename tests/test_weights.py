@@ -208,7 +208,7 @@ class TestPrimalInvariants:
         code = build(CodeParams(family, q, n, d))
         k = code.dimension
         if d == 0:
-            # constant code: columns 0 and 1 are dependent, counted unshortened
+            # constant code: of dimension 1, so counted whole
             match = f"weight distribution has {q**k - 1} codewords, not {q}\\^{k}"
         else:
             match = f"two-point shortened code has {q ** (k - 2) - 1} codewords, not {q}\\^{k - 2}"
@@ -558,11 +558,11 @@ class TestBudget:
             weight_report(code, budget=2**10)
 
     def test_refused_before_the_shortening_product(self):
-        # the count's dimension is read from the shortened basis, so the
-        # product that would build the counted generator is never formed
+        # the count's dimension is read from k and N alone, so no product
+        # with the generator is formed before the refusal
         class NoProduct(np.ndarray):
             def __rmatmul__(self, other):
-                raise AssertionError("shortening product formed before the budget check")
+                raise AssertionError("product with the generator formed before the budget check")
 
         code = build(CodeParams("rm", 2, 5, 2))
         code = Code(code.params, code.gen.view(NoProduct), code.basis_monomials)
@@ -573,10 +573,10 @@ class TestBudget:
         # binary RM(5,3), k = 26 of N = 32: the count would take the dual
         # side, of dimension 6, shortened on two points to 2^4 messages
         def unreachable(*args):
-            raise AssertionError("nullspace computed before the budget check")
+            raise AssertionError("dual read off before the budget check")
 
         code = build(CodeParams("rm", 2, 5, 3))
-        monkeypatch.setattr(W, "nullspace", unreachable)
+        monkeypatch.setattr(W, "rref_kernel", unreachable)
         with pytest.raises(BudgetExceeded, match=f"needs budget {2**4}, budget is 8"):
             weight_report(code, budget=8)
 
