@@ -6,7 +6,8 @@ s-dimensional subspace exactly once, in a fixed order (pivot columns in
 lexicographic order, then free entries in ascending mixed-radix order).
 Each (n, q, s) caches two read-only arrays, the subspaces' defining
 forms and one boolean incidence matrix, subspaces x points, computed
-from the forms in one product; it is the only point-set representation.
+from the forms by products over blocks of subspaces; it is the only
+point-set representation.
 ``Subspace`` objects are built only for the subspaces a result returns,
 one per distinct subspace.
 
@@ -72,15 +73,22 @@ def _proj_points(n: int, q: int) -> np.ndarray:
 def _incidence(forms: np.ndarray, n: int, q: int) -> np.ndarray:
     """Which points lie on the subspaces: all forms vanish there.  forms
     is (..., forms, n+1); the result is (..., points), boolean.  The form
-    values are one float32 product, exact since each is at most
+    values are float32 products, a block of subspaces of about
+    ``F32_BLOCK`` values at a time, exact since each is at most
     (n+1)(q-1)^2, and a value vanishes mod q where it equals its
     ``// q * q``."""
     bound = (n + 1) * (q - 1) ** 2
     require_f32_exact(bound, "form values")
     pts = _proj_points(n, q).T.astype(np.float32)
-    values = forms.reshape(-1, n + 1).astype(np.float32) @ pts
-    values = values.astype(np.min_scalar_type(bound)).reshape(*forms.shape[:-1], -1)
-    return (values == values // q * q).all(axis=-2)
+    flat = forms.reshape(-1, *forms.shape[-2:])
+    out = np.empty((len(flat), pts.shape[1]), dtype=bool)
+    step = max(1, F32_BLOCK // max(1, flat.shape[1] * pts.shape[1]))
+    for i in range(0, len(flat), step):
+        block = flat[i : i + step]
+        values = block.reshape(-1, n + 1).astype(np.float32) @ pts
+        values = values.astype(np.min_scalar_type(bound)).reshape(len(block), -1, pts.shape[1])
+        (values == values // q * q).all(axis=1, out=out[i : i + step])
+    return out.reshape(*forms.shape[:-2], -1)
 
 
 def _subspace(forms: np.ndarray, incidence: np.ndarray) -> Subspace:

@@ -390,3 +390,22 @@ def test_subspaces_built_only_when_reported(monkeypatch):
         G._subspaces.cache_clear()
     assert found is not None and found.dim == 0 and found.point_indices == (npts - 1,)
     assert len(built) <= 3
+
+
+def test_incidence_is_built_a_block_at_a_time():
+    # the form values are computed a block of subspaces at a time, so the
+    # build peaks near its boolean result, not at a float32 value per
+    # (form, subspace, point); the incidence is the plain integer test
+    import tracemalloc
+
+    import prmw.geometry as G
+
+    tracemalloc.start()
+    try:
+        forms, inc = G._subspaces.__wrapped__(7, 3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inc.shape == (3280, 3280) and peak < 2 * inc.nbytes
+    pts = np.array(projective_points(7, gf3))
+    assert np.array_equal(inc, (forms @ pts.T % 3 == 0).all(axis=1))

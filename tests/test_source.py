@@ -99,23 +99,30 @@ def test_benchmark_self_check_passes():
     assert ", 0 problems" in proc.stdout
 
 
-def _import_in_fresh_interpreter(openblas_threads, then="pass"):
-    """Thread count, OPENBLAS_NUM_THREADS and whether concurrent.futures
-    and numpy.ma are loaded, after ``import prmw.cli`` and the statements
-    ``then`` in a new interpreter whose environment sets the variable as
+def _fresh_interpreter(code, openblas_threads=None):
+    """The words ``code`` prints in a new interpreter that imports prmw
+    from this checkout and whose environment sets OPENBLAS_NUM_THREADS as
     given."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(Path(prmw.__file__).resolve().parents[1])
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    ).stdout.split()
+
+
+def _import_in_fresh_interpreter(openblas_threads, then="pass"):
+    """Thread count, OPENBLAS_NUM_THREADS and whether concurrent.futures
+    and numpy.ma are loaded, after ``import prmw.cli`` and the statements
+    ``then`` in a new interpreter whose environment sets the variable as
+    given."""
     code = (
         "import os, sys, prmw.cli; " + then + "; "
         "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'), "
         "'concurrent.futures' in sys.modules, 'numpy.ma' in sys.modules)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
-    ).stdout.split()
+    out = _fresh_interpreter(code, openblas_threads)
     return int(out[0]), out[1], out[2] == "True", out[3] == "True"
 
 
@@ -156,3 +163,34 @@ def test_verify_and_witness_do_not_import_numpy_ma():
         "'--out', os.devnull])"
     )
     assert _import_in_fresh_interpreter(None, then)[3] is False
+
+
+def test_cli_import_freezes_its_heap():
+    # the import-time objects live until exit, so no collection, the one
+    # at interpreter exit included, walks them; the collector stays on
+    code = "import gc, prmw.cli; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+    assert _fresh_interpreter(code) == ["True", "True"]
+
+
+def test_package_import_leaves_the_collector_alone():
+    assert _fresh_interpreter("import gc, prmw; print(gc.get_freeze_count())") == ["0"]
+
+
+def test_cli_freeze_holds_no_garbage():
+    # every frozen object is reachable: unfrozen, a full collection frees none
+    code = "import gc, prmw.cli; gc.unfreeze(); print(gc.collect())"
+    assert _fresh_interpreter(code) == ["0"]
+
+
+def test_heap_frozen_once_at_cli_import():
+    # a freeze in main() would freeze the garbage pending at each call
+    calls = [
+        (path.name, node.lineno, isinstance(stmt, ast.Expr) and stmt.value is node)
+        for path in sorted(Path(prmw.__file__).parent.glob("*.py"))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "freeze"
+    ]
+    assert [(name, top) for name, _, top in calls] == [("cli.py", True)]
