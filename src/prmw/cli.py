@@ -16,7 +16,6 @@ import gc
 import json
 import sys
 import time
-from math import ceil
 
 import numpy as np
 
@@ -147,12 +146,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-def _none_count(found: list) -> int:
-    """How many entries are None.  A Subspace is truthy, and bool() does
-    not call its dataclass __eq__, as list.count(None) would per entry."""
-    return len(found) - sum(map(bool, found))
-
-
 def _verify_instance(args: argparse.Namespace, n: int, d: int, checks: list[dict]) -> None:
     q, name = args.q, f"{args.family}({n},{d}) q={args.q}"
     t0 = time.perf_counter()
@@ -212,19 +205,19 @@ def _verify_instance(args: argparse.Namespace, n: int, d: int, checks: list[dict
     except BudgetExceeded as exc:
         record("intersection_bounds", "budget", str(exc))
 
-    k, hyperplane_bound, subspace_bound = avoiding_bounds(n, d, q)
+    k, (num, den), subspace_bound = avoiding_bounds(n, d, q)
     try:
-        # |S| < bound iff |S| < ceil(bound): no Fraction compare per support
+        # |S| < num/den iff |S| < ceil(num/den)
         sizes = supports.sum(axis=1)
-        small = supports[sizes < ceil(hyperplane_bound)]
-        missing1 = multiples * _none_count(find_avoiding_subspace(small, n, gf, n - 1))
+        small = supports[sizes < -(-num // den)]
+        missing1 = multiples * find_avoiding_subspace(small, n, gf, n - 1).count(None)
         record(
             "avoiding_hyperplane",
             "pass" if missing1 == 0 else "fail",
-            f"{scope}, |S| < {float(hyperplane_bound):g}, {missing1} without avoiding hyperplane",
+            f"{scope}, |S| < {num / den:g}, {missing1} without avoiding hyperplane",
         )
         small = supports[sizes <= subspace_bound]
-        missing2 = multiples * _none_count(find_avoiding_subspace_at_least(small, n, gf, k))
+        missing2 = multiples * find_avoiding_subspace_at_least(small, n, gf, k).count(None)
         record(
             "avoiding_subspace",
             "pass" if missing2 == 0 else "fail",
@@ -365,7 +358,7 @@ def main(argv=None) -> int:
 
 # Everything alive here (numpy, argparse and this package as imported)
 # lives until the process exits, and a full gc.collect() at this point
-# finds no unreachable object among the ~22,000 it tracks, so freezing
+# finds no unreachable object among the ~21,300 it tracks, so freezing
 # them leaks nothing.  Frozen, they are skipped by every later collection
 # and at interpreter exit, which otherwise spends about 15 ms of each
 # invocation on them.  The freeze is O(1).  It is done here, once: not in

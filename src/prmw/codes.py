@@ -31,8 +31,8 @@ give; ``code_to_bitdump`` packs GF(2) rows into 64-bit words and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ RM = "rm"
 PRM = "prm"
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(NamedTuple("CodeParams", [("family", str), ("q", int), ("n", int), ("d", int)])):
     """Code family and parameters.
 
     Construction accepts the full range the evaluation map makes sense
@@ -62,22 +61,25 @@ class CodeParams:
     operations restrict further.
     """
 
-    family: str
-    q: int
-    n: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in (RM, PRM):
-            raise DomainError(f"unknown family {self.family!r}")
-        GF(self.q)  # validates primality / support
-        if self.n < 1:
-            raise DomainError(f"n={self.n} must be >= 1")
-        dmax = self.n * (self.q - 1)
-        if self.family == RM and not 0 <= self.d <= dmax:
-            raise DomainError(f"rm order d={self.d} outside [0, {dmax}]")
-        if self.family == PRM and not 1 <= self.d <= dmax + 1:
-            raise DomainError(f"prm order d={self.d} outside [1, {dmax + 1}]")
+    def __new__(cls, family: str, q: int, n: int, d: int):
+        if family not in (RM, PRM):
+            raise DomainError(f"unknown family {family!r}")
+        GF(q)  # validates primality / support
+        if n < 1:
+            raise DomainError(f"n={n} must be >= 1")
+        dmax = n * (q - 1)
+        if family == RM and not 0 <= d <= dmax:
+            raise DomainError(f"rm order d={d} outside [0, {dmax}]")
+        if family == PRM and not 1 <= d <= dmax + 1:
+            raise DomainError(f"prm order d={d} outside [1, {dmax + 1}]")
+        return super().__new__(cls, family, q, n, d)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
 
 # -- linear algebra over GF(q) ----------------------------------------------
@@ -213,7 +215,6 @@ def homogeneous_monomials(nvars: int, d: int) -> list[Expvec]:
 # -- code construction --------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class Code:
     """A linear evaluation code with a row-reduced generator matrix.
 
@@ -221,12 +222,20 @@ class Code:
     enumeration (``affine_points`` for RM, ``projective_points`` for
     PRM).  ``basis_monomials`` are the monomials (in generation order)
     whose evaluation rows were kept as a basis; ``gen`` is the RREF of
-    those rows, uint8 residues, so it has full row rank.
+    those rows, uint8 residues, so it has full row rank.  Its attributes
+    are read-only, and two codes are equal only if they are the same
+    object.
     """
 
-    params: CodeParams
-    gen: np.ndarray
-    basis_monomials: tuple[Expvec, ...]
+    __slots__ = ("params", "gen", "basis_monomials")
+
+    def __init__(self, params: CodeParams, gen: np.ndarray, basis_monomials: tuple[Expvec, ...]):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "basis_monomials", basis_monomials)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Code instances are immutable")
 
     @property
     def length(self) -> int:

@@ -18,8 +18,7 @@ to render them, and ``check`` judges a computed pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .codes import RM, CodeParams
 from .errors import DomainError
@@ -104,17 +103,16 @@ def w2_rm_candidates(n: int, d: int, q: int) -> tuple[int, ...]:
     boundary)."""
     GF(q)
     a, b = decompose_affine(d, q)
-    if n - a - 2 < -1:
+    e = n - a - 2
+    if e < -1:
         raise DomainError(
             f"candidate formula inapplicable for n={n}, d={d}, q={q} (a={a})"
         )
-    base = (q - b) * q ** (n - a - 1)
-    step = Fraction(q) ** (n - a - 2)
-    options = set()
-    for c in (b - 1, q - 1, q):
-        v = base + c * step
-        if v.denominator == 1:
-            options.add(int(v))
+    base = (q - b) * q ** (e + 1)
+    if e >= 0:
+        options = {base + c * q**e for c in (b - 1, q - 1, q)}
+    else:  # e = -1: base + c/q is an integer exactly when q divides c
+        options = {base + c // q for c in (b - 1, q - 1, q) if c % q == 0}
     cands = tuple(sorted(options))
     if q == 2 and 1 <= d <= n - 1:
         # binary closed form must be one of the candidates
@@ -123,21 +121,24 @@ def w2_rm_candidates(n: int, d: int, q: int) -> tuple[int, ...]:
     return cands
 
 
-def avoiding_bounds(n: int, d: int, q: int) -> tuple[int, Fraction, int]:
+def avoiding_bounds(n: int, d: int, q: int) -> tuple[int, tuple[int, int], int]:
     """(k, hyperplane bound, subspace bound) for PRM(n, d), d >= 2, with
     (k, ell) the affine pair of d-1.
 
     A codeword support S with |S| < (q+1)(q-ell) q^(n-k-2) misses some
     hyperplane, and one with |S| <= (q-ell+1) q^(n-k-1) misses a
-    subspace of dimension at least k.
+    subspace of dimension at least k.  The hyperplane bound is exact, a
+    (numerator, denominator) pair of ints in lowest terms: q divides
+    neither q+1 nor q-ell, and on PRM's range n-k-2 >= -1, so the
+    denominator is 1 or q.
     """
     k, ell = decompose_affine(d - 1, q)
-    hyperplane = (q + 1) * (q - ell) * Fraction(q) ** (n - k - 2)
+    e = n - k - 2
+    hyperplane = ((q + 1) * (q - ell) * q ** max(e, 0), q ** max(-e, 0))
     return k, hyperplane, (q - ell + 1) * q ** (n - k - 1)
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(NamedTuple):
     """What the closed forms assert about one code.
 
     ``w1`` is the exact minimum weight, or None if none is asserted.

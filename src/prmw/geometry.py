@@ -24,9 +24,9 @@ points at once by the codes' monomial evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from .points import ENTRY_CAP, projective_array, projective_size
 from .poly import Poly
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A projective linear subspace of P^n(GF(q)).
 
     ``forms`` are n - dim independent linear forms whose common zero
@@ -196,11 +195,22 @@ def _meet_blocks(rows: np.ndarray, inc: np.ndarray):
     """Blocks ``(start, meets)`` of the supports x subspaces meet sizes,
     meets[i, j] = |support start+i & subspace j|, ``F32_BLOCK`` entries
     at a time.  Each is a float32 product of 0/1 rows: meet sizes are at
-    most N <= POINT_ENUM_CAP = 2^24, which float32 holds exactly."""
-    inc_t = inc.T.astype(np.float32)
+    most N <= POINT_ENUM_CAP = 2^24, which float32 holds exactly.  The
+    incidence is converted to float32 a block of about ``F32_BLOCK``
+    entries at a time, for each meets block; one of at most that many
+    entries is converted once."""
+    width = max(1, F32_BLOCK // max(1, inc.shape[1]))  # subspaces per converted block
+    whole = inc.T.astype(np.float32) if len(inc) <= width else None
     step = max(1, F32_BLOCK // max(1, len(inc)))
     for start in range(0, len(rows), step):
-        yield start, rows[start : start + step].astype(np.float32) @ inc_t
+        block = rows[start : start + step].astype(np.float32)
+        if whole is not None:
+            yield start, block @ whole
+            continue
+        meets = np.empty((len(block), len(inc)), dtype=np.float32)
+        for j in range(0, len(inc), width):
+            meets[:, j : j + width] = block @ inc[j : j + width].T.astype(np.float32)
+        yield start, meets
 
 
 def _first_avoiders(rows: np.ndarray, n: int, q: int, r: int) -> np.ndarray:
@@ -254,8 +264,7 @@ def find_avoiding_subspace_at_least(supports, n: int, gf: GF, rmin: int) -> list
     return found.tolist()
 
 
-@dataclass(frozen=True)
-class BoundViolation:
+class BoundViolation(NamedTuple):
     row: int
     s: int
     subspace: Subspace
@@ -296,8 +305,7 @@ def check_subspace_bounds(supports, params: CodeParams) -> list[BoundViolation]:
 # -- zero sets and hyperplane unions -------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperplaneCover:
+class HyperplaneCover(NamedTuple):
     is_union: bool
     hyperplanes: tuple[Subspace, ...]
     uncovered: tuple[int, ...]

@@ -107,7 +107,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,14 +122,12 @@ WITNESS_CAP = 3
 _TABLE_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     message: tuple[int, ...]
     support: tuple[int, ...]
 
 
-@dataclass
-class WeightReport:
+class WeightReport(NamedTuple):
     params: object
     length: int
     dimension: int

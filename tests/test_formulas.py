@@ -134,6 +134,17 @@ class TestCandidates:
                     c = w2_rm_candidates(n, d, q)
                     assert c and all(v >= w1_rm(n, d, q) for v in c)
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+    def test_integer_arithmetic_matches_fraction_reference(self, q):
+        # every valid RM order, the n-a-2 = -1 boundary (d = n(q-1)) included
+        for n in range(1, 7):
+            for d in range(1, n * (q - 1) + 1):
+                a, b = decompose_affine(d, q)
+                base = (q - b) * q ** (n - a - 1)
+                values = [base + c * Fraction(q) ** (n - a - 2) for c in (b - 1, q - 1, q)]
+                expected = sorted({int(v) for v in values if v.denominator == 1})
+                assert w2_rm_candidates(n, d, q) == tuple(expected)
+
 
 class TestDecompositions:
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -147,8 +158,8 @@ class TestDecompositions:
 class TestAvoidingBounds:
     def test_exact_fraction(self):
         # GF(3) PRM(1,3): k = 0, ell = 2, hyperplane bound 4/3
-        assert avoiding_bounds(1, 3, 3) == (0, Fraction(4, 3), 2)
-        assert avoiding_bounds(4, 2, 2) == (0, 12, 16)
+        assert avoiding_bounds(1, 3, 3) == (0, (4, 3), 2)
+        assert avoiding_bounds(4, 2, 2) == (0, (12, 1), 16)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_consistent_with_projective_minimum(self, q):
@@ -159,8 +170,18 @@ class TestAvoidingBounds:
                 k, hyperplane, subspace = avoiding_bounds(n, d, q)
                 w1 = w1_prm(n, d, q)
                 assert 0 <= k <= n - 1
-                assert hyperplane == Fraction(q + 1, q) * w1
+                assert Fraction(*hyperplane) == Fraction(q + 1, q) * w1
                 assert subspace == w1 + q ** (n - k - 1)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+    def test_integer_pair_matches_fraction_reference(self, q):
+        # the pair is the reference's numerator and denominator, in lowest
+        # terms, on the whole PRM range
+        for n in range(1, 7):
+            for d in range(2, n * (q - 1) + 2):
+                k, ell = decompose_affine(d - 1, q)
+                ref = (q + 1) * (q - ell) * Fraction(q) ** (n - k - 2)
+                assert avoiding_bounds(n, d, q)[1] == (ref.numerator, ref.denominator)
 
 
 class TestExpectation:

@@ -409,3 +409,33 @@ def test_incidence_is_built_a_block_at_a_time():
     assert inc.shape == (3280, 3280) and peak < 2 * inc.nbytes
     pts = np.array(projective_points(7, gf3))
     assert np.array_equal(inc, (forms @ pts.T % 3 == 0).all(axis=1))
+
+
+def test_meets_convert_the_incidence_a_block_at_a_time():
+    # an incidence larger than F32_BLOCK entries is converted to float32 a
+    # block of subspaces at a time, not as one 4-byte-per-entry copy, and
+    # the blocked meets find the same first avoiders
+    import tracemalloc
+
+    import prmw.geometry as G
+    from prmw.gfp import F32_BLOCK
+
+    _, inc = G._subspaces(9, 2, 8)
+    assert inc.size > F32_BLOCK
+    rng = np.random.default_rng(9)
+    rows = np.zeros((70, inc.shape[1]), dtype=bool)
+    for row in rows[:-1]:
+        # points off a random hyperplane, so the row misses it
+        outside = np.flatnonzero(~inc[rng.integers(len(inc))])
+        row[rng.choice(outside, size=int(rng.integers(1, len(outside))), replace=False)] = True
+    rows[-1] = True  # meets every hyperplane
+    tracemalloc.start()
+    try:
+        first = G._first_avoiders(rows, 9, 2, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < inc.nbytes + 4 * 4 * F32_BLOCK < 4 * inc.nbytes
+    misses = (rows.astype(np.int64) @ inc.T.astype(np.int64)) == 0
+    expected = np.where(misses.any(axis=1), misses.argmax(axis=1), -1)
+    assert np.array_equal(first, expected) and first[-1] == -1 and (first[:-1] >= 0).all()

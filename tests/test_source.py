@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import prmw
@@ -194,3 +195,81 @@ def test_heap_frozen_once_at_cli_import():
         and node.func.attr == "freeze"
     ]
     assert calls == [("cli.py", True)]
+
+
+# -- records -------------------------------------------------------------------
+
+
+def test_cli_import_loads_no_dataclasses_or_fractions():
+    # @dataclass compiles its methods at every import and fractions loads
+    # decimal: about 10 ms of each invocation that no record needs
+    code = (
+        "import sys, prmw.cli; "
+        "print(*[m in sys.modules for m in ('dataclasses', 'fractions', 'decimal')])"
+    )
+    assert _fresh_interpreter(code) == ["False", "False", "False"]
+
+
+def _records():
+    """One value of each record type, built twice over by the public calls."""
+    from prmw.formulas import expectation
+
+    gf = prmw.GF(2)
+    params = prmw.CodeParams("prm", 2, 3, 2)
+    code = prmw.build(params)
+    report = prmw.weight_report(code)
+    (subspace,) = prmw.find_avoiding_subspace([(0,)], 3, gf, 2)
+    (violation, *_) = prmw.check_subspace_bounds([(0,)], params)
+    cover = prmw.zero_set_is_hyperplane_union(prmw.parse_poly("X0*X1", 4, gf), 3, gf)
+    return [params, expectation(params), subspace, violation, cover, report.witnesses[0], report]
+
+
+def test_records_compare_by_value_hash_and_are_immutable():
+    first, again = _records(), _records()
+    assert [type(r).__name__ for r in first] == [
+        "CodeParams",
+        "Expectation",
+        "Subspace",
+        "BoundViolation",
+        "HyperplaneCover",
+        "Witness",
+        "WeightReport",
+    ]
+    first[-1], again[-1] = first[-1]._replace(elapsed_ms=0), again[-1]._replace(elapsed_ms=0)
+    for a, b in zip(first, again):
+        assert a == b and a is not b
+        with pytest.raises(AttributeError):
+            setattr(a, a._fields[0], None)
+    # the report holds its distribution as a dict, so it is not hashable
+    assert [hash(a) == hash(b) for a, b in zip(first[:-1], again[:-1])] == [True] * 6
+
+
+def test_code_params_validate_on_replace():
+    params = prmw.CodeParams(family="rm", q=3, n=2, d=4)
+    assert params._replace(d=1) == ("rm", 3, 2, 1)
+    for field, bad in [("family", "xm"), ("q", 4), ("n", 0), ("d", 5)]:
+        with pytest.raises(prmw.DomainError):
+            params._replace(**{field: bad})
+
+
+def test_codes_equal_only_to_themselves():
+    a, b = (prmw.build(prmw.CodeParams("rm", 2, 3, 1)) for _ in range(2))
+    assert a == a and a != b and len({a, b}) == 2
+    assert repr(a) == "Code(rm(n=3, d=1) over GF(2), [8, 4])"
+    with pytest.raises(AttributeError):
+        a.gen = b.gen
+
+
+def test_avoiding_subspaces_are_returned_whole():
+    # a NamedTuple put into an object array one by one could be spread
+    # into a row of its fields; every result entry is a Subspace or None
+    gf = prmw.GF(2)
+    npts = 15
+    batches = [[(0,)], [(0,), tuple(range(npts)), (1, 2)], np.ones((3, npts), dtype=bool)]
+    for batch in batches:
+        for find in (prmw.find_avoiding_subspace, prmw.find_avoiding_subspace_at_least):
+            found = find(batch, 3, gf, 1)
+            assert type(found) is list and len(found) == len(batch)
+            assert all(s is None or type(s) is prmw.Subspace for s in found)
+    found = prmw.find_avoiding_subspace_at_least([(0,), tuple(range(npts))], 3, gf, 0)
+    assert found[0].dim == 2 and 0 not in found[0].point_indices and found[1] is None
