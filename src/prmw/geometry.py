@@ -6,20 +6,21 @@ s-dimensional subspace exactly once, in a fixed order (pivot columns in
 lexicographic order, then free entries in ascending mixed-radix order).
 Each (n, q, s) caches two read-only arrays, the subspaces' defining
 forms and one boolean incidence matrix, subspaces x points, computed
-from the forms by products over blocks of subspaces; it is the only
-point-set representation.
+from the forms' values at the points; it is the only point-set
+representation.
 ``Subspace`` objects are built only for the subspaces a result returns,
 one per distinct subspace.
 
 The support predicates take a batch of supports (a boolean supports x
 points matrix, or an iterable of point index sequences; one support is
-a one-element batch) and read every meet size from supports x points @
-points x subspaces float32 products per dimension, one block of
-supports at a time: intersection lower bounds for codeword supports,
+a one-element batch) and read every meet size from the supports x
+points @ points x subspaces product per dimension, a block of supports
+at a time: intersection lower bounds for codeword supports,
 and the first subspace avoiding each support, kept as index arrays
 until the result is returned.  Whether a zero set is a union of
 hyperplanes reads the same incidences.  A form is evaluated at all
-points at once by the codes' monomial evaluator.
+points at once by the codes' monomial evaluator.  Form values and meet
+sizes are exact float32 products by ``gfp.f32_products``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .codes import CodeParams, evaluate_monomials, nullspace, rref
 from .errors import BudgetExceeded, DomainError
 from .formulas import w1_prm
-from .gfp import F32_BLOCK, GF, require_f32_exact
+from .gfp import GF, f32_products
 from .points import ENTRY_CAP, projective_array, projective_size
 from .poly import Poly
 
@@ -72,21 +73,16 @@ def _proj_points(n: int, q: int) -> np.ndarray:
 def _incidence(forms: np.ndarray, n: int, q: int) -> np.ndarray:
     """Which points lie on the subspaces: all forms vanish there.  forms
     is (..., forms, n+1); the result is (..., points), boolean.  The form
-    values are float32 products, a block of subspaces of about
-    ``F32_BLOCK`` values at a time, exact since each is at most
-    (n+1)(q-1)^2, and a value vanishes mod q where it equals its
+    values, at most (n+1)(q-1)^2, come from ``f32_products`` a block of
+    subspaces at a time, and a value vanishes mod q where it equals its
     ``// q * q``."""
     bound = (n + 1) * (q - 1) ** 2
-    require_f32_exact(bound, "form values")
-    pts = _proj_points(n, q).T.astype(np.float32)
+    pts = _proj_points(n, q).T
     flat = forms.reshape(-1, *forms.shape[-2:])
     out = np.empty((len(flat), pts.shape[1]), dtype=bool)
-    step = max(1, F32_BLOCK // max(1, flat.shape[1] * pts.shape[1]))
-    for i in range(0, len(flat), step):
-        block = flat[i : i + step]
-        values = block.reshape(-1, n + 1).astype(np.float32) @ pts
-        values = values.astype(np.min_scalar_type(bound)).reshape(len(block), -1, pts.shape[1])
-        (values == values // q * q).all(axis=1, out=out[i : i + step])
+    for i, values in f32_products(flat, pts, bound, "form values"):
+        values = values.astype(np.min_scalar_type(bound))
+        (values == values // q * q).all(axis=1, out=out[i : i + len(values)])
     return out.reshape(*forms.shape[:-2], -1)
 
 
@@ -191,28 +187,6 @@ def _support_rows(supports, n: int, q: int) -> np.ndarray:
     return rows
 
 
-def _meet_blocks(rows: np.ndarray, inc: np.ndarray):
-    """Blocks ``(start, meets)`` of the supports x subspaces meet sizes,
-    meets[i, j] = |support start+i & subspace j|, ``F32_BLOCK`` entries
-    at a time.  Each is a float32 product of 0/1 rows: meet sizes are at
-    most N <= POINT_ENUM_CAP = 2^24, which float32 holds exactly.  The
-    incidence is converted to float32 a block of about ``F32_BLOCK``
-    entries at a time, for each meets block; one of at most that many
-    entries is converted once."""
-    width = max(1, F32_BLOCK // max(1, inc.shape[1]))  # subspaces per converted block
-    whole = inc.T.astype(np.float32) if len(inc) <= width else None
-    step = max(1, F32_BLOCK // max(1, len(inc)))
-    for start in range(0, len(rows), step):
-        block = rows[start : start + step].astype(np.float32)
-        if whole is not None:
-            yield start, block @ whole
-            continue
-        meets = np.empty((len(block), len(inc)), dtype=np.float32)
-        for j in range(0, len(inc), width):
-            meets[:, j : j + width] = block @ inc[j : j + width].T.astype(np.float32)
-        yield start, meets
-
-
 def _first_avoiders(rows: np.ndarray, n: int, q: int, r: int) -> np.ndarray:
     """For each support, the index of the first dimension-r subspace
     (enumeration order) it misses, or -1 if it meets every one."""
@@ -222,7 +196,7 @@ def _first_avoiders(rows: np.ndarray, n: int, q: int, r: int) -> np.ndarray:
         raise DomainError("support is empty")
     _, inc = _subspaces(n, q, r)
     first = np.empty(len(rows), dtype=np.intp)
-    for start, meets in _meet_blocks(rows, inc):
+    for start, meets in f32_products(rows, inc.T, rows.shape[1], "meet sizes"):
         # the first smallest meet; a miss where that meet is 0
         j = meets.argmin(axis=1)
         missed = np.take_along_axis(meets, j[:, None], axis=1)[:, 0] == 0
@@ -290,7 +264,7 @@ def check_subspace_bounds(supports, params: CodeParams) -> list[BoundViolation]:
         forms, inc = _subspaces(n, q, s)  # before the skip: a budget refusal stands
         if required <= 1:
             continue  # meets are integers: none lies strictly between 0 and 1
-        for start, meets in _meet_blocks(rows, inc):
+        for start, meets in f32_products(rows, inc.T, rows.shape[1], "meet sizes"):
             flat = np.flatnonzero((meets > 0) & (meets < required))
             sizes = meets.ravel()[flat].astype(np.int64).tolist()
             hit, sub = divmod(flat, len(inc))

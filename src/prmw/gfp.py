@@ -4,14 +4,19 @@ Field elements are plain ints kept in canonical residue form 0 <= a < q.
 A ``GF`` instance is one validated modulus and its residues; the
 arithmetic is done mod q where it is used, on ints or whole arrays
 (inverses as ``pow(a, -1, q)``, array residues by ``reduce_mod``).
-Products of residue matrices run as float32 BLAS products where every
-sum stays below ``F32_EXACT``.  The bit-packed form for q = 2 is not
-here: ``codes.pack_bits`` packs 0/1 rows into 64-bit words, and both
+Every integer matrix product of the package (monomial evaluation,
+codeword supports, form values, meet sizes) is ``f32_products``, blocked
+exact float32 BLAS.  The bit-packed form for q = 2 is not here:
+``codes.pack_bits`` packs 0/1 rows into 64-bit words, and both
 Gauss-Jordan elimination in ``codes`` and the binary counting kernel in
 ``weights`` use it.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -36,10 +41,34 @@ def reduce_mod(a, q: int):
     return a - a // q * q
 
 
-def require_f32_exact(bound: int, what: str) -> None:
-    """Refuse a float32 product whose sums may reach ``F32_EXACT``."""
+def f32_products(rows: np.ndarray, mat: np.ndarray, bound: int, what: str):
+    """Blocks ``(start, rows[start:stop] @ mat)`` of float32 sums, for
+    nonnegative integer ``rows`` shaped (..., k) and ``mat`` shaped
+    (k, m) whose sums are at most ``bound``; RuntimeError naming ``what``
+    unless that is below ``F32_EXACT``, where they are exact.
+
+    Only the leading axis of ``rows`` is blocked, at about ``F32_BLOCK``
+    sums per block.  ``mat`` is used as it is if float32, else converted
+    once if its float32 copy fits in 1 MB, else a block of about
+    ``F32_BLOCK`` entries of columns at a time inside each block of rows,
+    so no float32 copy of a large matrix is held."""
     if bound >= F32_EXACT:
         raise RuntimeError(f"{what}: sums up to {bound} are not exact in float32")
+    k, width = mat.shape
+    step = max(1, F32_BLOCK // max(1, math.prod(rows.shape[1:-1]) * width))
+    if mat.dtype != np.float32 and mat.size <= 4 * F32_BLOCK:
+        mat = mat.astype(np.float32)
+    cols = max(1, F32_BLOCK // max(1, k))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        flat = block.reshape(-1, k).astype(np.float32, copy=False)
+        if mat.dtype == np.float32:
+            sums = flat @ mat
+        else:
+            sums = np.empty((len(flat), width), dtype=np.float32)
+            for j in range(0, width, cols):
+                sums[:, j : j + cols] = flat @ mat[:, j : j + cols].astype(np.float32)
+        yield start, sums.reshape(*block.shape[:-1], width)
 
 
 def is_prime(n: int) -> bool:

@@ -95,8 +95,8 @@ block that fills every weight's K.
 
 Supports are collected a batch at a time: ``codeword_support`` takes a
 matrix of messages, one per row, and returns the boolean supports x
-points matrix of exact float32 products with the generator, a block of
-messages at a time, which the geometry predicates take as it is.  A
+points matrix of their exact float32 products with the generator
+(``gfp.f32_products``), which the geometry predicates take as it is.  A
 report makes one such call for all its witnesses, and ``verify`` one
 per instance, for one nonzero message per scalar class of an
 exhaustive one (multiples share a support), else for the report's
@@ -113,7 +113,7 @@ import numpy as np
 
 from .codes import Code, pack_bits, rref_kernel
 from .errors import BudgetExceeded, DomainError
-from .gfp import F32_BLOCK, reduce_mod, require_f32_exact
+from .gfp import f32_products, reduce_mod
 
 DEFAULT_BUDGET = 1 << 32
 WITNESS_CAP = 3
@@ -149,12 +149,12 @@ def codeword_support(code: Code, messages) -> np.ndarray:
     ``messages`` is a batch, one message per row (a single message is a
     1-element batch); row i of the ``(batch, N)`` result is True at the
     points (canonical order) where codeword i is nonzero.  The messages
-    are reduced mod q, and the batch is a float32 product with the
-    generator, ``F32_BLOCK`` entries at a time, exact because every sum
-    is at most k(q-1)^2 < 2^24: ``ENTRY_CAP`` bounds k*N <= 2^26 with
-    k <= N, so k <= 2^13, and (q-1)^2 <= 144 < 2^11.  The sums are cast
-    to the smallest unsigned type holding them; one is nonzero mod q
-    where it differs from ``sum // q * q``.
+    are reduced mod q and multiplied by the generator in
+    ``f32_products``, exact because every sum is at most k(q-1)^2 < 2^24:
+    ``ENTRY_CAP`` bounds k*N <= 2^26 with k <= N, so k <= 2^13, and
+    (q-1)^2 <= 144 < 2^11.  The sums are cast to the smallest unsigned
+    type holding them; one is nonzero mod q where it differs from
+    ``sum // q * q``.
     """
     msgs = np.asarray(messages)
     if msgs.dtype.kind not in "iu":
@@ -165,14 +165,10 @@ def codeword_support(code: Code, messages) -> np.ndarray:
         )
     q = code.params.q
     bound = code.dimension * (q - 1) ** 2
-    require_f32_exact(bound, "codeword support")
-    gen = code.gen.astype(np.float32)
     out = np.empty((len(msgs), code.length), dtype=bool)
-    step = max(1, F32_BLOCK // max(1, code.length))
-    for i in range(0, len(msgs), step):
-        sums = reduce_mod(msgs[i : i + step], q).astype(np.float32) @ gen
+    for i, sums in f32_products(reduce_mod(msgs, q), code.gen, bound, "codeword support"):
         sums = sums.astype(np.min_scalar_type(bound))
-        np.not_equal(sums, sums // q * q, out=out[i : i + step])
+        np.not_equal(sums, sums // q * q, out=out[i : i + len(sums)])
     return out
 
 

@@ -39,6 +39,22 @@ def test_no_private_name_imported_across_modules():
     assert imports == []
 
 
+def test_float32_product_rule_lives_in_gfp():
+    # every float32 product goes through gfp.f32_products, so no other
+    # module names the exactness bound or the block size
+    names = {"F32_BLOCK", "F32_EXACT"}
+    uses = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(prmw.__file__).parent.glob("*.py"))
+        if path.name != "gfp.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+    ]
+    assert uses == []
+
+
 def test_public_names_resolve():
     # every name the package exports is defined on it
     assert [name for name in prmw.__all__ if not hasattr(prmw, name)] == []
