@@ -338,9 +338,9 @@ def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
     if q == 2:
         rows, add = pack_bits(gen), np.bitwise_xor
 
-        def offset(digits, high):
+        def offset(digits):
             # the packed codeword of h: the XOR of its digits' packed rows
-            return np.bitwise_xor.reduce(high[digits == 1], axis=0)
+            return np.bitwise_xor.reduce(high[: len(digits)][digits == 1], axis=0)
 
         def mark(off, cols, out):
             np.bitwise_xor(cols, off[:, None], out=out)
@@ -349,15 +349,15 @@ def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
     else:
         # before the reduction an entry is at most (q-1) + (q-1)^2 = q(q-1)
         # <= 156, so uint8 holds it
-        rows = gen.astype(np.uint8)
+        rows = gen.astype(np.uint8, copy=False)
 
         def add(a, g):
             return reduce_mod(a + g, q)
 
-        def offset(digits, high):
+        def offset(digits):
             # -cw mod q for h's codeword cw: coordinate c of table[:, s] + cw
             # is zero exactly where table[c, s] == -cw_c, one byte comparison
-            return (-(digits @ high) % q).astype(np.uint8)
+            return (-(digits @ high[: len(digits)]) % q).astype(np.uint8)
 
         def mark(off, cols, out):
             np.not_equal(cols, off[:, None], out=out.view(bool))
@@ -377,8 +377,14 @@ def _streams(gen: np.ndarray, q: int, parts: int = 1) -> list:
         buf = np.empty_like(table)  # one work buffer per stream, not one per block
         for lo_run, hi_run in runs:
             for h in range(max(lo_run, h_lo), min(hi_run, h_hi)):
-                digits = np.array([h // q**j % q for j in range(dim - b)], dtype=np.int64)
-                off = offset(digits, high)
+                # h's base-q digits up to its highest nonzero one: only
+                # their rows of ``high`` are read (and, for q > 2, widened
+                # to int64 for the product), not the whole high part
+                digits, rest = [], h
+                while rest:
+                    rest, r = divmod(rest, q)
+                    digits.append(r)
+                off = offset(np.array(digits, dtype=np.int64))
                 for lo, hi in first if h == 0 else whole:
                     x = buf[:, lo:hi]
                     mark(off, table[:, lo:hi], x)

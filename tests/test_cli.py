@@ -81,6 +81,21 @@ class TestTable:
         else:
             assert budget in out.splitlines()[1] and cap in out.splitlines()[2]
 
+    def test_oversized_rows_refused_before_monomials_are_listed(self, capsys, monkeypatch):
+        # binary PRM(30,15) and RM(40,20) would list 345 and 619 billion
+        # monomials: each row is refused from the counts, and exits 2
+        def unreachable(*args):
+            raise AssertionError("monomials listed before the entry cap was checked")
+
+        monkeypatch.setattr(prmw.codes, "homogeneous_monomials", unreachable)
+        monkeypatch.setattr(prmw.codes, "rm_monomials", unreachable)
+        for family, n, d in [("prm", 30, 15), ("rm", 40, 20)]:
+            argv = ["table", "--family", family, "--q", "2", "--n", str(n), "--d", str(d)]
+            code, out = run_cli(capsys, *argv, "--format", "json")
+            assert code == 2
+            note = json.loads(out)[0]["note"]
+            assert note.startswith(f"the evaluation matrix of {family}(n={n}, d={d}) over GF(2) needs ")
+
     def test_gf5_rows_at_default_budget(self, capsys):
         # q^k is 5^21 and 5^25, far above the budget; the counts are not
         code, out = run_cli(capsys, "table", "--q", "5", "--n", "2", "--d", "5..6", "--format", "json")

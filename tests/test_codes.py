@@ -1,5 +1,6 @@
 import json
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -131,6 +132,35 @@ class TestRref:
         assert rref_kernel(red, 2).shape == (0, 2)
         with pytest.raises(DomainError, match="not in reduced row echelon form"):
             rref_kernel(np.array([[1, 1], [1, 0]]), 2)
+
+    @pytest.mark.parametrize(
+        "red",
+        [
+            [[2, 0, 1], [0, 1, 1]],  # a row leads with 2, not 1
+            [[1, 1, 0], [0, 1, 2]],  # a pivot column has a second nonzero
+            [[1, 0, 1], [0, 0, 0]],  # a zero row
+            [[1, 0, 1], [1, 0, 2]],  # two rows share a pivot
+        ],
+    )
+    def test_kernel_refuses_unreduced_rows(self, red):
+        with pytest.raises(DomainError, match="not in reduced row echelon form"):
+            rref_kernel(np.array(red, dtype=np.uint8), 3)
+
+    def test_kernel_checks_without_square_copies(self):
+        # the check is one boolean pass over the matrix, not rank x rank
+        # copies of its pivot columns and of the identity
+        import tracemalloc
+
+        red = build(CodeParams("rm", 2, 10, 9)).gen
+        tracemalloc.start()
+        try:
+            kernel = rref_kernel(red, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * red.nbytes
+        # RM(10,9)'s dual is the repetition code
+        assert kernel.tolist() == [[1] * 1024]
 
     def test_gf3_dependent_rows(self):
         red, rank, pivots = rref([[1, 1], [2, 2]], GF(3))
@@ -309,6 +339,37 @@ class TestEntryCap:
         monkeypatch.setattr(prmw.codes, "affine_array", unreachable)
         with pytest.raises(BudgetExceeded, match=f"needs {21_700 * 2**20} entries, cap is {2**26}"):
             build(CodeParams("rm", 2, 20, 5))
+
+    @pytest.mark.parametrize(
+        "family,q,n,d,monomials",
+        # binary RM(40,20) and PRM(30,15): 619 and 345 billion monomials
+        [("rm", 2, 40, 20, sum(comb(40, i) for i in range(21))), ("prm", 2, 30, 15, comb(45, 15))],
+    )
+    def test_refused_before_monomials_are_listed(self, monkeypatch, family, q, n, d, monomials):
+        def unreachable(*args):
+            raise AssertionError("monomials or points listed before the entry cap was checked")
+
+        for name in ("rm_monomials", "homogeneous_monomials", "affine_array", "projective_array"):
+            monkeypatch.setattr(prmw.codes, name, unreachable)
+        points = 2**n if family == "rm" else 2 ** (n + 1) - 1
+        with pytest.raises(BudgetExceeded, match=f"needs {monomials * points} entries, cap is {2**26}"):
+            build(CodeParams(family, q, n, d))
+
+    @pytest.mark.parametrize("q", SUPPORTED_PRIMES)
+    def test_monomials_counted_as_listed(self, monkeypatch, q):
+        # the refusal counts the monomials it does not list: just past
+        # the cap, it names the entries of the listed monomials
+        for n in (1, 3):
+            monomial_lists = [("rm", d, rm_monomials(n, d, q)) for d in range(n * (q - 1) + 1)]
+            monomial_lists += [
+                ("prm", d, homogeneous_monomials(n + 1, d)) for d in range(1, n * (q - 1) + 2)
+            ]
+            for family, d, monomials in monomial_lists:
+                points = q**n if family == "rm" else (q ** (n + 1) - 1) // (q - 1)
+                entries = len(monomials) * points
+                monkeypatch.setattr(prmw.codes, "ENTRY_CAP", entries - 1)
+                with pytest.raises(BudgetExceeded, match=f" needs {entries} entries"):
+                    build(CodeParams(family, q, n, d))
 
     @pytest.mark.parametrize(
         "family,q,n,d,entries",

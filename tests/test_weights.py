@@ -295,6 +295,27 @@ class TestEnumerationPaths:
 
 
 class TestWitnesses:
+    def test_qary_search_reads_only_the_digits_of_each_high_part(self):
+        # RM(7,13)/GF(3)'s generator is 4.6 MB; an offset codeword is the
+        # product of the high part's digits with their rows only, not an
+        # int64 copy of the whole high part of the generator per block
+        import tracemalloc
+
+        code = build(CodeParams("rm", 3, 7, 13))
+        tracemalloc.start()
+        try:
+            pool = W._witnesses(code.gen, 3, [2, 3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < code.gen.nbytes
+        # the first class representatives (highest nonzero digit 1) of
+        # each weight, from their codewords over the first 3^4 messages
+        reps = [m for m in range(1, 3**4) if m // 3 ** (len(np.base_repr(m, 3)) - 1) == 1]
+        digits = np.array(reps)[:, None] // 3 ** np.arange(4) % 3
+        w = np.count_nonzero(digits @ code.gen[:4].astype(np.int64) % 3, axis=1)
+        assert pool == {t: [reps[i] for i in np.flatnonzero(w == t)[:3]] for t in (2, 3)}
+
     def test_deterministic_across_runs(self):
         code = build(CodeParams("prm", 2, 3, 2))
         assert weight_report(code).witnesses == weight_report(code).witnesses
@@ -475,6 +496,23 @@ class TestSupports:
         code = build(CodeParams("prm", 3, 2, 2))
         empty = codeword_support(code, np.zeros((0, code.dimension), dtype=np.int64))
         assert empty.shape == (0, code.length)
+
+    def test_large_generator_not_copied_to_float32(self):
+        # RM(10,9)/GF(2)'s generator is 1 MB, 4 MB as float32: the batch
+        # is multiplied a block of generator columns at a time, so the
+        # support of a few messages takes less than the generator itself
+        import tracemalloc
+
+        code = build(CodeParams("rm", 2, 10, 9))
+        msgs = np.random.default_rng(5).integers(0, 2, (6, code.dimension))
+        tracemalloc.start()
+        try:
+            rows = codeword_support(code, msgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < code.gen.nbytes
+        assert np.array_equal(rows, msgs @ code.gen % 2 != 0)
 
     def test_one_message_not_a_batch(self):
         code = build(CodeParams("prm", 2, 2, 2))
